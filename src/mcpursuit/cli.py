@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -38,6 +38,7 @@ from .scenario_io import (
     TrajectoryRecord,
     emit_figure_svg,
     emit_overlay_svg,
+    f17,
     initial_range,
     initial_state,
     parse_scenario_with_overrides,
@@ -77,10 +78,6 @@ _VALIDATION_ERRORS = (
 
 class _UsageError(Exception):
     pass
-
-
-def _f17(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _overrides(args) -> Dict[str, str]:
@@ -135,7 +132,7 @@ def _cmd_run(args) -> int:
     _write_outputs(record, args.out, args.figure)
     print(
         f"run: termination={record.termination} samples={record.n_samples} "
-        f"final_gamma={_f17(record.gamma[-1]) if record.gamma else 'n/a'} out={args.out}"
+        f"final_gamma={f17(record.gamma[-1]) if record.gamma else 'n/a'} out={args.out}"
     )
     return _run_exit([record])
 
@@ -194,10 +191,10 @@ def _cmd_sweep(args) -> int:
         rows.append(
             ",".join(
                 (
-                    _f17(m),
-                    _f17(_gain_of(cfg.pursuer_law)),
-                    _f17(peak) if peak is not None else "",
-                    _f17(ratio) if ratio is not None else "",
+                    f17(m),
+                    f17(_gain_of(cfg.pursuer_law)),
+                    f17(peak) if peak is not None else "",
+                    f17(ratio) if ratio is not None else "",
                 )
             )
         )
@@ -206,22 +203,6 @@ def _cmd_sweep(args) -> int:
         f.write("\n".join(rows) + "\n")
     print(f"sweep: {len(multipliers)} runs out={args.out}")
     return _run_exit(records)
-
-
-def _certificate_dict(cert: GainCertificate) -> dict:
-    return {
-        "nu": cert.nu,
-        "u_e_max": cert.u_e_max,
-        "gamma0": cert.gamma0,
-        "r_init": cert.r_init,
-        "r0": cert.r0,
-        "epsilon": cert.epsilon,
-        "c1": cert.c1,
-        "c2": cert.c2,
-        "mu": cert.mu,
-        "T": cert.T,
-        "met_at_start": cert.met_at_start,
-    }
 
 
 def _cmd_certify(args) -> int:
@@ -237,7 +218,7 @@ def _cmd_certify(args) -> int:
         epsilon_target=DEFAULT_EPSILON_TARGET,
         r0_choice=args.r0,
     )
-    payload: dict = {"schema": 1, "certificate": _certificate_dict(cert)}
+    payload: dict = {"schema": 1, "certificate": asdict(cert)}
     records: List[TrajectoryRecord] = []
     if args.verify:
         law = MCPG(cert.mu)
@@ -278,7 +259,7 @@ def _cmd_certify(args) -> int:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     print(
-        f"certify: mu={_f17(cert.mu)} T={_f17(cert.T)} epsilon={_f17(cert.epsilon)} "
+        f"certify: mu={f17(cert.mu)} T={f17(cert.T)} epsilon={f17(cert.epsilon)} "
         f"out={args.out}"
     )
     return _run_exit(records)
@@ -313,12 +294,12 @@ def _cmd_compare(args) -> int:
             ",".join(
                 (
                     name,
-                    _f17(cfg.step_size),
+                    f17(cfg.step_size),
                     record.termination,
-                    _f17(record.capture_time) if record.capture_time is not None else "",
-                    _f17(record.gamma[-1]) if record.gamma else "",
-                    _f17(max(record.residual)) if record.residual else "",
-                    _f17(max(abs(v) for v in record.u_p)) if record.u_p else "",
+                    f17(record.capture_time) if record.capture_time is not None else "",
+                    f17(record.gamma[-1]) if record.gamma else "",
+                    f17(max(record.residual)) if record.residual else "",
+                    f17(max(abs(v) for v in record.u_p)) if record.u_p else "",
                 )
             )
         )
@@ -326,7 +307,7 @@ def _cmd_compare(args) -> int:
         f.write("\n".join(rows) + "\n")
     with _open_out(args.out, "overlay.svg") as f:
         emit_overlay_svg(records, names, f)
-    print(f"compare: mu={_f17(mu)} ppng_gain={_f17(mu * r0)} out={args.out}")
+    print(f"compare: mu={f17(mu)} ppng_gain={f17(mu * r0)} out={args.out}")
     return _run_exit(records)
 
 

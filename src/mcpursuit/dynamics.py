@@ -16,13 +16,20 @@ Internal scalar control convention (used by the fast integration loop and by
 
 where (cp, sp) and (ce, se) are the cos/sin of the two headings, already
 computed for the stage; the evader callable receives the stage time only.
+
+Stage-1 handoff: a caller that has already evaluated both controls at the
+start of a step (the simulation loop does, to record them at a sample) passes
+them to :func:`rk4_step_scalars` as its two trailing optional arguments, and
+stage 1 then calls neither control again. The values come from the same
+inputs through the same arithmetic, so the step is bitwise identical to one
+that evaluates them itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import NonFiniteState
 from .geometry import PlanarVector, perp
@@ -112,11 +119,15 @@ def rk4_step_scalars(
     nu: float,
     pursuer: Callable[..., float],
     evader: Callable[[float], float],
+    ue1: Optional[float] = None,
+    a1: Optional[float] = None,
 ) -> Tuple[float, float, float, float, float, float]:
     """One classical RK4 step on the six scalar state components.
 
     Low-level primitive shared by :func:`step` and the simulation loop; the
     callables follow the scalar control convention in the module docstring.
+    ``ue1`` and ``a1`` are the stage-1 evader and pursuer controls at
+    (t, state), if the caller already has them; pass both or neither.
     Returns the state at t + h. Raises nothing of its own; trig of an infinite
     heading surfaces as ValueError, which callers convert to NonFiniteState.
     """
@@ -127,8 +138,9 @@ def rk4_step_scalars(
     sp1 = _sin(pth)
     ce1 = _cos(eth)
     se1 = _sin(eth)
-    ue1 = evader(t)
-    a1 = pursuer(t, px, py, pth, cp1, sp1, ex, ey, eth, ce1, se1, ue1)
+    if a1 is None:
+        ue1 = evader(t)
+        a1 = pursuer(t, px, py, pth, cp1, sp1, ex, ey, eth, ce1, se1, ue1)
     b1 = nu * ue1
 
     # stage 2 at t + h/2

@@ -8,9 +8,12 @@ everything downstream (frames, transverse components, turn signs) inherits it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ZeroVector
+
+_TWO_600 = 2.0 ** 600
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,11 @@ def unit(a: PlanarVector) -> PlanarVector:
     n = norm(a)
     if n == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
+    if n < sys.float_info.min:
+        # A subnormal norm keeps too few significant bits to divide by; an
+        # exact power-of-two rescale restores them without changing direction.
+        a = PlanarVector(a.x * _TWO_600, a.y * _TWO_600)
+        n = norm(a)
     return PlanarVector(a.x / n, a.y / n)
 
 

@@ -298,7 +298,7 @@ def pursuer_control(law: PursuerLaw, nu: float) -> Callable[[EngagementState, fl
 
 
 def scalar_evader_control(program: EvaderProgram) -> Callable[[float], float]:
-    """Fast t -> u_e closure; PiecewiseRandom memoizes its per-interval levels."""
+    """Fast t -> u_e closure; PiecewiseRandom keeps its current interval's levels."""
     if isinstance(program, Zero):
         return lambda t: 0.0
     if isinstance(program, Constant):
@@ -313,22 +313,24 @@ def scalar_evader_control(program: EvaderProgram) -> Callable[[float], float]:
         seed = program.seed
         dwell = program.dwell
         u_max = program.u_max
-        cache: dict = {}
-
-        def level(k: int) -> float:
-            v = cache.get(k)
-            if v is None:
-                v = random_level(seed, k, u_max)
-                cache[k] = v
-            return v
+        first = random_level(seed, 0, u_max)
+        # The current interval's index, its level and the rise to the next
+        # level; refreshed only when a call lands in another interval.
+        k0 = 0
+        v0 = first
+        dv = random_level(seed, 1, u_max) - first
 
         def control(t: float) -> float:
+            nonlocal k0, v0, dv
             m = t / dwell - 0.5
             k = _floor(m)
-            if k < 0:
-                return level(0)
-            v0 = level(k)
-            return v0 + (m - k) * (level(k + 1) - v0)
+            if k != k0:
+                if k < 0:
+                    return first
+                k0 = k
+                v0 = random_level(seed, k, u_max)
+                dv = random_level(seed, k + 1, u_max) - v0
+            return v0 + (m - k) * dv
 
         return control
     raise TypeError(f"unknown evader program {program!r}")

@@ -39,6 +39,11 @@ t,px,py,ptheta,ex,ey,etheta,u_p,u_e,r_norm,gamma,w,los_rate,residual
 with every number printed to 17 significant digits so parsing the file back
 recovers bit-identical doubles.
 
+A TrajectoryRecord keeps each of those columns as a packed ``array('d')``, 8
+bytes per value. The CSV and SVG writers stream: they format and write a row
+or a chunk of polyline points at a time and never hold a whole file or a
+whole column of text in memory.
+
 Summary files are JSON with ``"schema": 1``. Figures are self-contained
 SVG 1.1: solid dark pursuer path, dashed dark evader path, light gray
 baseline segments at evenly spaced sample indices, auto-fitted viewBox with
@@ -49,8 +54,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple
+from array import array
+from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
+from operator import neg
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .dynamics import EngagementState, ParticleState
 from .errors import ParseError, ValidationError
@@ -77,6 +85,13 @@ CSV_COLUMNS = (
     "t", "px", "py", "ptheta", "ex", "ey", "etheta",
     "u_p", "u_e", "r_norm", "gamma", "w", "los_rate", "residual",
 )
+
+#: Seventeen significant digits: every double parses back bit-identically.
+_F17 = "%.17g"
+_CSV_ROW = ",".join([_F17] * len(CSV_COLUMNS)) + "\n"
+
+#: Polyline points formatted and written per chunk by the SVG writers.
+_POINTS_CHUNK = 4096
 
 #: Relative tolerance applied to the stability cap so a step size computed as
 #: exactly the cap is never rejected for a rounding hair.
@@ -229,6 +244,13 @@ def _parse_entries(text: str) -> Dict[str, Tuple[str, int]]:
     return entries
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 class _EntryReader:
     """Typed, consumed-key-tracking access to the raw key/value map."""
 
@@ -248,13 +270,13 @@ class _EntryReader:
         try:
             return kind(value)
         except ValueError:
-            where = f"line {lineno}: " if lineno > 0 else ""
-            raise ParseError(f"{where}key {key!r}: expected {kindname}, got {value!r}") from None
+            where = f"line {lineno}: key" if lineno > 0 else "override key"
+            raise ParseError(f"{where} {key!r}: expected {kindname}, got {value!r}") from None
 
     def number(self, key: str, default: Optional[float] = None) -> Optional[float]:
         if key not in self.entries:
             return default
-        return self._convert(key, float, "a number")
+        return self._convert(key, _finite_float, "a finite number")
 
     def integer(self, key: str, default: Optional[int] = None) -> Optional[int]:
         if key not in self.entries:
@@ -264,7 +286,7 @@ class _EntryReader:
     def require(self, key: str) -> float:
         if key not in self.entries:
             raise ValidationError(f"missing required key {key!r}")
-        return self._convert(key, float, "a number")
+        return self._convert(key, _finite_float, "a finite number")
 
     def unused(self):
         return sorted(set(self.entries) - self.used)
@@ -429,30 +451,36 @@ def write_scenario(config: ScenarioConfig) -> str:
 # trajectory records
 
 
+def _column() -> array:
+    return array("d")
+
+
 @dataclass
 class TrajectoryRecord:
     """Columnar record of one simulation; one row per sample instant.
 
     Treated as immutable once the simulation returns it. Sample times are
-    k * step_size * sample_stride for consecutive k starting at 0.
+    k * step_size * sample_stride for consecutive k starting at 0. The
+    simulation fills each column as a packed ``array('d')``; any sequence of
+    floats, such as a list, works as a column for the readers and writers.
     """
 
     scenario: ScenarioConfig
     termination: str
-    t: List[float] = field(default_factory=list)
-    px: List[float] = field(default_factory=list)
-    py: List[float] = field(default_factory=list)
-    ptheta: List[float] = field(default_factory=list)
-    ex: List[float] = field(default_factory=list)
-    ey: List[float] = field(default_factory=list)
-    etheta: List[float] = field(default_factory=list)
-    u_p: List[float] = field(default_factory=list)
-    u_e: List[float] = field(default_factory=list)
-    r_norm: List[float] = field(default_factory=list)
-    gamma: List[float] = field(default_factory=list)
-    w: List[float] = field(default_factory=list)
-    los_rate: List[float] = field(default_factory=list)
-    residual: List[float] = field(default_factory=list)
+    t: Sequence[float] = field(default_factory=_column)
+    px: Sequence[float] = field(default_factory=_column)
+    py: Sequence[float] = field(default_factory=_column)
+    ptheta: Sequence[float] = field(default_factory=_column)
+    ex: Sequence[float] = field(default_factory=_column)
+    ey: Sequence[float] = field(default_factory=_column)
+    etheta: Sequence[float] = field(default_factory=_column)
+    u_p: Sequence[float] = field(default_factory=_column)
+    u_e: Sequence[float] = field(default_factory=_column)
+    r_norm: Sequence[float] = field(default_factory=_column)
+    gamma: Sequence[float] = field(default_factory=_column)
+    w: Sequence[float] = field(default_factory=_column)
+    los_rate: Sequence[float] = field(default_factory=_column)
+    residual: Sequence[float] = field(default_factory=_column)
 
     @property
     def n_samples(self) -> int:
@@ -494,21 +522,18 @@ class TrajectoryRecord:
             yield self.t[i], s.pursuer, s.evader, self.u_p[i], self.u_e[i], self.metric_at(i)
 
 
-def _f17(v: float) -> str:
-    return f"{v:.17g}"
+def f17(v: float) -> str:
+    """A float at 17 significant digits, the precision of every output file."""
+    return _F17 % v
 
 
 def write_trajectory_csv(record: TrajectoryRecord, sink: TextIO) -> None:
-    """Write the record as CSV; numbers carry 17 significant digits."""
-    sink.write(",".join(CSV_COLUMNS) + "\n")
-    cols = (
-        record.t, record.px, record.py, record.ptheta,
-        record.ex, record.ey, record.etheta,
-        record.u_p, record.u_e, record.r_norm,
-        record.gamma, record.w, record.los_rate, record.residual,
-    )
-    for i in range(record.n_samples):
-        sink.write(",".join(_f17(c[i]) for c in cols) + "\n")
+    """Write the record as CSV, one row at a time; numbers carry 17 significant digits."""
+    write = sink.write
+    write(",".join(CSV_COLUMNS) + "\n")
+    row = _CSV_ROW
+    for values in zip(*(getattr(record, name) for name in CSV_COLUMNS)):
+        write(row % values)
 
 
 def read_trajectory_csv(source: TextIO) -> Dict[str, List[float]]:
@@ -553,19 +578,7 @@ def summary_dict(record: TrajectoryRecord, cert=None, envelope_ok: Optional[bool
         "peak_abs_u_p": max(abs(v) for v in record.u_p) if record.u_p else None,
     }
     if cert is not None:
-        out["certificate"] = {
-            "nu": cert.nu,
-            "u_e_max": cert.u_e_max,
-            "gamma0": cert.gamma0,
-            "r_init": cert.r_init,
-            "r0": cert.r0,
-            "epsilon": cert.epsilon,
-            "c1": cert.c1,
-            "c2": cert.c2,
-            "mu": cert.mu,
-            "T": cert.T,
-            "met_at_start": cert.met_at_start,
-        }
+        out["certificate"] = asdict(cert)
     if envelope_ok is not None:
         out["envelope_ok"] = envelope_ok
     return out
@@ -586,25 +599,35 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _svg_open(xs: List[float], ys: List[float]) -> Tuple[List[str], float]:
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+def _svg_open(
+    sink: TextIO, xmin: float, xmax: float, ymin: float, ymax: float
+) -> float:
+    """Write the svg element fitted to the extents; return the stroke width."""
     extent = max(xmax - xmin, ymax - ymin, 1e-9)
     margin = 0.05 * extent
     w = (xmax - xmin) + 2.0 * margin
     h = (ymax - ymin) + 2.0 * margin
     view = f"{_fmt(xmin - margin)} {_fmt(ymin - margin)} {_fmt(w)} {_fmt(h)}"
-    sw = 0.004 * max(w, h)
-    lines = [
+    sink.write(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{view}">',
-    ]
-    return lines, sw
+        f'viewBox="{view}">\n'
+    )
+    return 0.004 * max(w, h)
 
 
-def _polyline(xs: List[float], ys: List[float], style: str) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-    return f'<polyline fill="none" {style} points="{pts}"/>'
+def _write_polyline(sink: TextIO, xs: Sequence[float], ys: Sequence[float], style: str) -> None:
+    """Write one polyline through (x, -y), formatting its points a chunk at a time."""
+    write = sink.write
+    write(f'<polyline fill="none" {style} points="')
+    points = map("%.6g,%.6g".__mod__, zip(xs, map(neg, ys)))
+    sep = ""
+    while True:
+        chunk = list(islice(points, _POINTS_CHUNK))
+        if not chunk:
+            break
+        write(sep + " ".join(chunk))
+        sep = " "
+    write('"/>\n')
 
 
 def _baseline_indices(n: int, count: int) -> List[int]:
@@ -628,33 +651,35 @@ def emit_figure_svg(record: TrajectoryRecord, sink: TextIO, baseline_count: int 
     The y axis is flipped so the figure reads in the usual orientation.
     Output depends only on the record and baseline_count.
     """
-    pxs = record.px
-    pys = [-v for v in record.py]
-    exs = record.ex
-    eys = [-v for v in record.ey]
-    lines, sw = _svg_open(pxs + exs, pys + eys)
+    pxs, pys, exs, eys = record.px, record.py, record.ex, record.ey
+    # Extents of the flipped figure: min(-y) is -max(y), at the same sample.
+    sw = _svg_open(
+        sink,
+        min(min(pxs), min(exs)),
+        max(max(pxs), max(exs)),
+        -max(max(pys), max(eys)),
+        -min(min(pys), min(eys)),
+    )
+    write = sink.write
     n = record.n_samples
     for i in _baseline_indices(n, baseline_count):
-        lines.append(
-            f'<line x1="{_fmt(pxs[i])}" y1="{_fmt(pys[i])}" '
-            f'x2="{_fmt(exs[i])}" y2="{_fmt(eys[i])}" '
-            f'stroke="#c9c9c9" stroke-width="{_fmt(0.6 * sw)}"/>'
+        write(
+            f'<line x1="{_fmt(pxs[i])}" y1="{_fmt(-pys[i])}" '
+            f'x2="{_fmt(exs[i])}" y2="{_fmt(-eys[i])}" '
+            f'stroke="#c9c9c9" stroke-width="{_fmt(0.6 * sw)}"/>\n'
         )
     if n == 1:
         r = _fmt(2.0 * sw)
-        lines.append(f'<circle cx="{_fmt(pxs[0])}" cy="{_fmt(pys[0])}" r="{r}" fill="#111111"/>')
-        lines.append(f'<circle cx="{_fmt(exs[0])}" cy="{_fmt(eys[0])}" r="{r}" fill="#444444"/>')
+        write(f'<circle cx="{_fmt(pxs[0])}" cy="{_fmt(-pys[0])}" r="{r}" fill="#111111"/>\n')
+        write(f'<circle cx="{_fmt(exs[0])}" cy="{_fmt(-eys[0])}" r="{r}" fill="#444444"/>\n')
     else:
-        lines.append(
-            _polyline(
-                exs, eys,
-                f'stroke="#333333" stroke-width="{_fmt(sw)}" '
-                f'stroke-dasharray="{_fmt(3.0 * sw)} {_fmt(2.0 * sw)}"',
-            )
+        _write_polyline(
+            sink, exs, eys,
+            f'stroke="#333333" stroke-width="{_fmt(sw)}" '
+            f'stroke-dasharray="{_fmt(3.0 * sw)} {_fmt(2.0 * sw)}"',
         )
-        lines.append(_polyline(pxs, pys, f'stroke="#111111" stroke-width="{_fmt(sw)}"'))
-    lines.append("</svg>")
-    sink.write("\n".join(lines) + "\n")
+        _write_polyline(sink, pxs, pys, f'stroke="#111111" stroke-width="{_fmt(sw)}"')
+    write("</svg>\n")
 
 
 _OVERLAY_STYLES = (
@@ -669,28 +694,26 @@ def emit_overlay_svg(records: List[TrajectoryRecord], labels: List[str], sink: T
     if not records:
         raise ValidationError("overlay needs at least one record")
     evader_src = max(records, key=lambda r: r.n_samples)
-    all_x: List[float] = list(evader_src.ex)
-    all_y: List[float] = [-v for v in evader_src.ey]
-    for rec in records:
-        all_x.extend(rec.px)
-        all_y.extend(-v for v in rec.py)
-    lines, sw = _svg_open(all_x, all_y)
-    lines.append(
-        _polyline(
-            list(evader_src.ex), [-v for v in evader_src.ey],
-            f'stroke="#bb4444" stroke-width="{_fmt(sw)}" '
-            f'stroke-dasharray="{_fmt(3.0 * sw)} {_fmt(2.0 * sw)}"',
-        )
+    xs = [evader_src.ex] + [rec.px for rec in records]
+    ys = [evader_src.ey] + [rec.py for rec in records]
+    sw = _svg_open(
+        sink,
+        min(min(c) for c in xs),
+        max(max(c) for c in xs),
+        -max(max(c) for c in ys),
+        -min(min(c) for c in ys),
+    )
+    _write_polyline(
+        sink, evader_src.ex, evader_src.ey,
+        f'stroke="#bb4444" stroke-width="{_fmt(sw)}" '
+        f'stroke-dasharray="{_fmt(3.0 * sw)} {_fmt(2.0 * sw)}"',
     )
     for idx, rec in enumerate(records):
         style = _OVERLAY_STYLES[idx % len(_OVERLAY_STYLES)].format(
             d1=_fmt(5.0 * sw), d2=_fmt(2.5 * sw), d3=_fmt(1.5 * sw)
         )
-        lines.append(
-            _polyline(list(rec.px), [-v for v in rec.py], f'{style} stroke-width="{_fmt(sw)}"')
-        )
-    lines.append("</svg>")
-    sink.write("\n".join(lines) + "\n")
+        _write_polyline(sink, rec.px, rec.py, f'{style} stroke-width="{_fmt(sw)}"')
+    sink.write("</svg>\n")
 
 
 def scaled_law(law: PursuerLaw, multiplier: float) -> PursuerLaw:

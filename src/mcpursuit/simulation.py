@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable, Optional
 
 from .dynamics import EngagementState, ParticleState, rk4_step_scalars
@@ -11,6 +12,7 @@ from .geometry import PlanarVector
 from .guidance import scalar_evader_control, scalar_pursuer_control
 from .metrics import metric_values
 from .scenario_io import (
+    CSV_COLUMNS,
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
@@ -20,6 +22,9 @@ from .scenario_io import (
 )
 
 StateControl = Callable[[EngagementState, float], float]
+
+#: Samples buffered per column before they move into the packed record.
+_CHUNK = 4096
 
 
 def simulate(
@@ -37,7 +42,8 @@ def simulate(
     interval). A non-finite state or a control evaluation that blows up ends
     the run with termination "non_finite"; the offending sample is not
     recorded. Controls recorded at a sample are the ones steering the step
-    that leaves it.
+    that leaves it: they are handed to that step as its RK4 stage 1, so each
+    control is evaluated once per stage, sampled or not.
 
     The keyword overrides replace the configured law or program; the law
     override receives the full engagement state plus the evader control value
@@ -80,20 +86,21 @@ def simulate(
         raise InitialCollision("pursuer and evader start at the same point")
 
     record = TrajectoryRecord(scenario=scenario, termination=TERMINATION_TIME_LIMIT)
-    col_t = record.t.append
-    col_px = record.px.append
-    col_py = record.py.append
-    col_pth = record.ptheta.append
-    col_ex = record.ex.append
-    col_ey = record.ey.append
-    col_eth = record.etheta.append
-    col_up = record.u_p.append
-    col_ue = record.u_e.append
-    col_rn = record.r_norm.append
-    col_g = record.gamma.append
-    col_w = record.w.append
-    col_los = record.los_rate.append
-    col_res = record.residual.append
+    # Samples gather in short list buffers, one per CSV column, and move into
+    # the record's packed columns a chunk at a time: appending a float to a
+    # list is cheaper than appending it to an array('d').
+    columns = tuple(getattr(record, name) for name in CSV_COLUMNS)
+    buffers = tuple([] for _ in columns)
+    (col_t, col_px, col_py, col_pth, col_ex, col_ey, col_eth,
+     col_up, col_ue, col_rn, col_g, col_w, col_los, col_res) = (b.append for b in buffers)
+    pack = struct.pack
+
+    def flush() -> None:
+        for column, buf in zip(columns, buffers):
+            column.frombytes(pack(f"{len(buf)}d", *buf))
+            buf.clear()
+
+    room = _CHUNK
 
     cos = math.cos
     sin = math.sin
@@ -137,6 +144,10 @@ def simulate(
         col_w(w)
         col_los(los)
         col_res(res)
+        room -= 1
+        if not room:
+            flush()
+            room = _CHUNK
         if rn <= capture_radius:
             termination = TERMINATION_CAPTURE
             break
@@ -144,7 +155,12 @@ def simulate(
             termination = TERMINATION_TIME_LIMIT
             break
         try:
-            for _ in range(stride):
+            # The step leaving the sample reuses its controls as RK4 stage 1.
+            px, py, pth, ex, ey, eth = step(
+                t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
+            )
+            k += 1
+            for _ in range(stride - 1):
                 px, py, pth, ex, ey, eth = step(
                     k * h, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn
                 )
@@ -162,5 +178,6 @@ def simulate(
             termination = TERMINATION_NON_FINITE
             break
 
+    flush()
     record.termination = termination
     return record

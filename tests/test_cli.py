@@ -87,6 +87,24 @@ def test_bad_scenario_text_is_a_validation_error(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_non_finite_file_value_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text(FAST_SCENARIO.replace("pursuer_init.x = 3.0", "pursuer_init.x = nan"),
+                    encoding="utf-8")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_non_finite_set_value_is_a_validation_error(scenario_file, tmp_path, capsys):
+    code = main(
+        ["run", "--scenario", scenario_file, "--out", str(tmp_path / "o"),
+         "--set", "pursuer_init.x=inf"]
+    )
+    assert code == EXIT_VALIDATION
+    assert "pursuer_init.x" in capsys.readouterr().err
+
+
 def test_unknown_set_key_is_a_usage_error(scenario_file, tmp_path):
     code = main(
         ["run", "--scenario", scenario_file, "--out", str(tmp_path / "o"),

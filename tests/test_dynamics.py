@@ -76,6 +76,11 @@ def test_stage_times_are_t_then_two_midpoints_then_t_plus_h():
                      _zero_pursuer, evader)
     # The two middle stages share one evaluation of a time-only signal.
     assert seen == [1.0, 1.25, 1.5]
+    # Stage-1 controls handed over by the caller are not evaluated again.
+    seen.clear()
+    rk4_step_scalars(1.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.5, 0.5,
+                     _zero_pursuer, evader, 0.0, 0.0)
+    assert seen == [1.25, 1.5]
 
 
 def _circle_position(x0, y0, th0, t):
@@ -147,6 +152,30 @@ def test_step_matches_the_scalar_kernel_bitwise():
     )
     assert got == expected
     assert after.time == 2.01
+
+
+def _handoff_pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
+    return 0.7 * ((px - ex) * (sp - 0.6 * se) - (py - ey) * (cp - 0.6 * ce)) + 0.2 * ue
+
+
+def _handoff_evader(t):
+    return 0.4 * math.sin(1.3 * t)
+
+
+_finite = st.floats(min_value=-50.0, max_value=50.0)
+
+
+@given(_finite, _finite, _finite, _finite, _finite, _finite, _finite,
+       st.floats(min_value=1e-6, max_value=0.5), st.floats(min_value=0.0, max_value=0.95))
+def test_handed_over_stage_one_is_bitwise_the_plain_step(t, px, py, pth, ex, ey, eth, h, nu):
+    ue1 = _handoff_evader(t)
+    a1 = _handoff_pursuer(t, px, py, pth, math.cos(pth), math.sin(pth),
+                          ex, ey, eth, math.cos(eth), math.sin(eth), ue1)
+    plain = rk4_step_scalars(t, px, py, pth, ex, ey, eth, h, nu,
+                             _handoff_pursuer, _handoff_evader)
+    handed = rk4_step_scalars(t, px, py, pth, ex, ey, eth, h, nu,
+                              _handoff_pursuer, _handoff_evader, ue1, a1)
+    assert [v.hex() for v in handed] == [v.hex() for v in plain]
 
 
 @settings(max_examples=30, deadline=None)

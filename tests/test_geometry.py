@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mcpursuit.errors import ZeroVector
@@ -51,6 +51,7 @@ def test_norm_examples():
 
 
 @given(vectors)
+@example(PlanarVector(5e-324, 5e-324))
 def test_unit_has_unit_norm(v):
     if norm(v) == 0.0:
         with pytest.raises(ZeroVector):

@@ -1,9 +1,11 @@
 """Scenario text format, trajectory CSV, summary JSON, and SVG output."""
 
+import dataclasses
 import io
 import json
 import math
 import xml.etree.ElementTree as ET
+from array import array
 
 import pytest
 
@@ -148,6 +150,15 @@ def test_piecewise_random_seed_must_be_an_integer():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_parse_errors(value):
+    text = BASE_TEXT.replace("pursuer_init.x = 10.0", f"pursuer_init.x = {value}")
+    with pytest.raises(ParseError, match="line 3: key 'pursuer_init.x'"):
+        parse_scenario(text)
+    with pytest.raises(ParseError, match="override key 't_max'"):
+        parse_scenario_with_overrides(BASE_TEXT, {"t_max": value})
+
+
 def test_overrides_replace_and_extend_entries():
     config = parse_scenario_with_overrides(
         BASE_TEXT, {"nu": "0.25", "t_max": "7.5", "label": "patched"}
@@ -267,6 +278,32 @@ def test_trajectory_csv_round_trip_is_bit_exact():
         for g, w in zip(got, want):
             assert math.copysign(1.0, g) == math.copysign(1.0, w)
             assert g == w
+
+
+def test_trajectory_csv_matches_a_per_cell_reference():
+    record = _small_record()
+    sink = io.StringIO()
+    write_trajectory_csv(record, sink)
+    rows = zip(*(getattr(record, name) for name in CSV_COLUMNS))
+    want = ",".join(CSV_COLUMNS) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows
+    )
+    assert sink.getvalue() == want
+
+
+def test_list_and_array_backed_records_write_identical_bytes():
+    lists = _small_record()
+    packed = dataclasses.replace(
+        lists, **{name: array("d", getattr(lists, name)) for name in CSV_COLUMNS}
+    )
+    for write in (write_trajectory_csv, emit_figure_svg,
+                  lambda rec, sink: emit_overlay_svg([rec, _small_record()], ["a", "b"], sink)):
+        outputs = []
+        for record in (lists, packed):
+            sink = io.StringIO()
+            write(record, sink)
+            outputs.append(sink.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 def test_trajectory_csv_rejects_malformed_input():

@@ -1,6 +1,7 @@
 """Engagement loop behavior: sampling, termination, and override hooks."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,12 +10,13 @@ from mcpursuit.errors import InitialCollision, ValidationError
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import MCPG, Constant, Sinusoid, Zero
 from mcpursuit.scenario_io import (
+    CSV_COLUMNS,
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
     build_scenario,
 )
-from mcpursuit.simulation import simulate
+from mcpursuit.simulation import _CHUNK, simulate
 
 
 def _state(x, y, heading):
@@ -66,14 +68,14 @@ def test_sample_count_with_exact_binary_step():
     record = simulate(config)
     assert record.termination == TERMINATION_TIME_LIMIT
     assert record.n_samples == 9
-    assert record.t == [0.125 * i for i in range(9)]
+    assert list(record.t) == [0.125 * i for i in range(9)]
     assert record.t[-1] == 1.0
 
 
 def test_stride_samples_every_nth_step():
     config = _scenario(step_size=0.125, t_max=1.0, sample_stride=4, pursuer_law=MCPG(0.1))
     record = simulate(config)
-    assert record.t == [0.0, 0.5, 1.0]
+    assert list(record.t) == [0.0, 0.5, 1.0]
     dense = simulate(_scenario(step_size=0.125, t_max=1.0, pursuer_law=MCPG(0.1)))
     assert record.px[1] == dense.px[4]
     assert record.gamma[2] == dense.gamma[8]
@@ -150,3 +152,64 @@ def test_metric_columns_match_recomputation():
         assert record.r_norm[i] == m.baseline_len
         assert record.los_rate[i] == m.los_rate
         assert record.residual[i] == m.residual
+
+
+def _column_lengths(record):
+    return {len(getattr(record, name)) for name in CSV_COLUMNS}
+
+
+@pytest.mark.parametrize("n", [_CHUNK, 2 * _CHUNK + 3])
+def test_packed_columns_stay_aligned_across_chunks(n):
+    h = 2.0 ** -10
+    record = simulate(_scenario(step_size=h, t_max=(n - 1) * h, pursuer_law=MCPG(0.1)))
+    assert record.termination == TERMINATION_TIME_LIMIT
+    assert _column_lengths(record) == {n}
+    assert all(record.t[i] == i * h for i in range(n))
+
+
+def test_capture_exit_keeps_the_last_partial_chunk():
+    config = _scenario(
+        nu=0.1,
+        pursuer_init=_state(4.0, 0.0, math.pi),
+        evader_init=_state(0.0, 0.0, math.pi),
+        step_size=0.001,
+        t_max=10.0,
+    )
+    record = simulate(config, pursuer_control=lambda s, ue: 0.0, evader_control=lambda t: 0.0)
+    assert record.termination == TERMINATION_CAPTURE
+    assert record.n_samples % _CHUNK and record.n_samples > _CHUNK
+    assert _column_lengths(record) == {record.n_samples}
+    assert record.r_norm[-1] <= config.capture_radius < record.r_norm[-2]
+
+
+def test_non_finite_exit_keeps_the_last_partial_chunk():
+    h = 2.0 ** -7
+    last = _CHUNK + 904
+    config = _scenario(step_size=h, t_max=2.0 * last * h)
+
+    def explode(state, ue):
+        return math.inf if state.time > last * h else 0.0
+
+    record = simulate(config, pursuer_control=explode)
+    assert record.termination == TERMINATION_NON_FINITE
+    assert _column_lengths(record) == {last + 1}
+    assert record.t[-1] == last * h
+
+
+def test_recorded_samples_are_packed():
+    # 14 columns of 8-byte doubles are 112 bytes per sample; a record of
+    # float objects in lists would keep about 430. Tracing slows the run
+    # about thirtyfold, so the record is kept short: three chunks, the last
+    # one partial.
+    h = 2.0 ** -10
+    n = 2 * _CHUNK + 3
+    config = _scenario(step_size=h, t_max=(n - 1) * h, pursuer_law=MCPG(0.1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record = simulate(config)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert record.n_samples == n
+    assert kept / n <= 130.0
