@@ -35,6 +35,7 @@ from .scenario_io import (
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     ScenarioConfig,
+    TrajectoryCsvStream,
     TrajectoryRecord,
     emit_figure_svg,
     emit_overlay_svg,
@@ -43,9 +44,7 @@ from .scenario_io import (
     initial_state,
     parse_scenario_with_overrides,
     scaled_law,
-    with_law,
     write_summary_json,
-    write_trajectory_csv,
 )
 from .simulation import simulate
 
@@ -104,20 +103,29 @@ def _open_out(outdir: str, name: str):
     return open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n")
 
 
-def _write_outputs(
-    record: TrajectoryRecord,
+def _simulate_into(
     outdir: str,
+    config: ScenarioConfig,
     figure: bool,
     cert: Optional[GainCertificate] = None,
-    envelope_ok: Optional[bool] = None,
-) -> None:
-    with _open_out(outdir, "trajectory.csv") as f:
-        write_trajectory_csv(record, f)
-    with _open_out(outdir, "summary.json") as f:
-        write_summary_json(record, f, cert=cert, envelope_ok=envelope_ok)
-    if figure:
-        with _open_out(outdir, "figure.svg") as f:
-            emit_figure_svg(record, f)
+) -> Tuple[TrajectoryRecord, Optional[bool]]:
+    """Run ``config`` and write trajectory.csv, summary.json and, with ``figure``, figure.svg.
+
+    trajectory.csv is formatted while the run integrates (TrajectoryCsvStream)
+    and completed after the other files. With ``cert``, summary.json carries
+    the certificate and the envelope check's verdict, which is returned with
+    the record.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    with TrajectoryCsvStream(os.path.join(outdir, "trajectory.csv")) as csv:
+        record = simulate(config, on_chunk=csv.send)
+        envelope_ok = None if cert is None else check_envelope(record, cert)
+        with _open_out(outdir, "summary.json") as f:
+            write_summary_json(record, f, cert=cert, envelope_ok=envelope_ok)
+        if figure:
+            with _open_out(outdir, "figure.svg") as f:
+                emit_figure_svg(record, f)
+    return record, envelope_ok
 
 
 def _run_exit(records: List[TrajectoryRecord]) -> int:
@@ -128,8 +136,7 @@ def _run_exit(records: List[TrajectoryRecord]) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_scenario(args)
-    record = simulate(config)
-    _write_outputs(record, args.out, args.figure)
+    record, _ = _simulate_into(args.out, config, args.figure)
     print(
         f"run: termination={record.termination} samples={record.n_samples} "
         f"final_gamma={f17(record.gamma[-1]) if record.gamma else 'n/a'} out={args.out}"
@@ -179,11 +186,14 @@ def _cmd_sweep(args) -> int:
     records: List[TrajectoryRecord] = []
     rows: List[str] = ["multiplier,gain,peak_gamma_excess,ratio_vs_prev"]
     prev_peak: Optional[float] = None
+    # One step for every run: the scenario's, tightened to the stability cap
+    # at the largest multiplier if that is smaller.
+    top = scaled_law(config.pursuer_law, max(multipliers))
+    step = min(config.step_size, stability_step_cap(top, config.nu, config.capture_radius))
     for m in multipliers:
-        cfg = with_law(config, scaled_law(config.pursuer_law, m))
-        record = simulate(cfg)
+        cfg = replace(config, pursuer_law=scaled_law(config.pursuer_law, m), step_size=step)
+        record, _ = _simulate_into(os.path.join(args.out, f"gain_x{m:g}"), cfg, args.figure)
         records.append(record)
-        _write_outputs(record, os.path.join(args.out, f"gain_x{m:g}"), args.figure)
         peak = _post_transient_peak(record.gamma)
         ratio = None
         if prev_peak is not None and peak is not None and peak > 0.0:
@@ -231,7 +241,7 @@ def _cmd_certify(args) -> int:
             step_size=step,
             t_max=1.02 * cert.T + sample_interval,
         )
-        record = simulate(cfg)
+        record, envelope_ok = _simulate_into(args.out, cfg, args.figure, cert=cert)
         records.append(record)
         threshold = -1.0 + cert.epsilon
         t1 = next(
@@ -244,7 +254,6 @@ def _cmd_certify(args) -> int:
             and record.gamma[-1] <= -1.0 + math.sqrt(cert.epsilon)
         )
         achieved = (t1 is not None and t1 <= cert.T) or captured_aligned
-        envelope_ok = check_envelope(record, cert)
         payload["verification"] = {
             "achieved": achieved,
             "t1": t1,
@@ -254,7 +263,6 @@ def _cmd_certify(args) -> int:
             "envelope_ok": envelope_ok,
             "step_size": step,
         }
-        _write_outputs(record, args.out, args.figure, cert=cert, envelope_ok=envelope_ok)
     with _open_out(args.out, "certificate.json") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -286,10 +294,9 @@ def _cmd_compare(args) -> int:
     for name, law in laws:
         cap = stability_step_cap(law, config.nu, config.capture_radius)
         cfg = replace(config, pursuer_law=law, step_size=min(config.step_size, cap))
-        record = simulate(cfg)
+        record, _ = _simulate_into(os.path.join(args.out, name), cfg, args.figure)
         records.append(record)
         names.append(name)
-        _write_outputs(record, os.path.join(args.out, name), args.figure)
         rows.append(
             ",".join(
                 (

@@ -42,7 +42,9 @@ recovers bit-identical doubles.
 A TrajectoryRecord keeps each of those columns as a packed ``array('d')``, 8
 bytes per value. The CSV and SVG writers stream: they format and write a row
 or a chunk of polyline points at a time and never hold a whole file or a
-whole column of text in memory.
+whole column of text in memory. The column order and the row template live
+in ``csvrows``; TrajectoryCsvStream formats a long run's rows in a second
+process while the run integrates.
 
 Summary files are JSON with ``"schema": 1``. Figures are self-contained
 SVG 1.1: solid dark pursuer path, dashed dark evader path, light gray
@@ -54,12 +56,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from operator import neg
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
+from . import csvrows
+from .csvrows import CSV_COLUMNS, CSV_HEADER, F17, rows
 from .dynamics import EngagementState, ParticleState
 from .errors import ParseError, ValidationError
 from .geometry import PlanarVector
@@ -81,14 +87,14 @@ TERMINATION_CAPTURE = "capture"
 TERMINATION_TIME_LIMIT = "time_limit"
 TERMINATION_NON_FINITE = "non_finite"
 
-CSV_COLUMNS = (
-    "t", "px", "py", "ptheta", "ex", "ey", "etheta",
-    "u_p", "u_e", "r_norm", "gamma", "w", "los_rate", "residual",
-)
+#: Samples that ``simulate`` buffers per column before it moves them into the
+#: record's packed columns; also the fewest rows that TrajectoryCsvStream
+#: hands to a second process.
+RECORD_CHUNK = 4096
 
-#: Seventeen significant digits: every double parses back bit-identically.
-_F17 = "%.17g"
-_CSV_ROW = ",".join([_F17] * len(CSV_COLUMNS)) + "\n"
+#: Most integration steps a scenario may ask for: ceil(t_max / step_size).
+#: At about 160k steps per second this is some ten minutes of integration.
+MAX_STEPS = 10**8
 
 #: Polyline points formatted and written per chunk by the SVG writers.
 _POINTS_CHUNK = 4096
@@ -171,6 +177,8 @@ def build_scenario(
     initial range over (1 - nu).
     """
     if step_size is None:
+        # The default step divides by the capture radius for ppng.
+        _check_capture_radius(capture_radius)
         step_size = stability_step_cap(pursuer_law, nu, capture_radius)
     if t_max is None:
         dx = pursuer_init.position.x - evader_init.position.x
@@ -204,8 +212,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ValidationError(f"step_size must be finite and positive: {config.step_size}")
     if not (math.isfinite(config.t_max) and config.t_max >= 0.0):
         raise ValidationError(f"t_max must be finite and nonnegative: {config.t_max}")
-    if not (math.isfinite(config.capture_radius) and config.capture_radius > 0.0):
-        raise ValidationError(f"capture_radius must be finite and positive: {config.capture_radius}")
+    _check_capture_radius(config.capture_radius)
     if not (isinstance(config.sample_stride, int) and config.sample_stride >= 1):
         raise ValidationError(f"sample_stride must be an integer >= 1: {config.sample_stride}")
     if initial_range(config) == 0.0:
@@ -218,6 +225,17 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ValidationError(
             f"step size violates stability cap: step_size={config.step_size}, cap={cap}"
         )
+    steps = config.t_max / config.step_size
+    if steps > MAX_STEPS:
+        count = math.ceil(steps) if math.isfinite(steps) else steps
+        raise ValidationError(
+            f"t_max / step_size asks for {count} steps, over the limit of MAX_STEPS = {MAX_STEPS}"
+        )
+
+
+def _check_capture_radius(capture_radius: float) -> None:
+    if not (math.isfinite(capture_radius) and capture_radius > 0.0):
+        raise ValidationError(f"capture_radius must be finite and positive: {capture_radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +542,157 @@ class TrajectoryRecord:
 
 def f17(v: float) -> str:
     """A float at 17 significant digits, the precision of every output file."""
-    return _F17 % v
+    return F17 % v
 
 
 def write_trajectory_csv(record: TrajectoryRecord, sink: TextIO) -> None:
     """Write the record as CSV, one row at a time; numbers carry 17 significant digits."""
-    write = sink.write
-    write(",".join(CSV_COLUMNS) + "\n")
-    row = _CSV_ROW
-    for values in zip(*(getattr(record, name) for name in CSV_COLUMNS)):
-        write(row % values)
+    sink.write(CSV_HEADER)
+    sink.writelines(rows(getattr(record, name) for name in CSV_COLUMNS))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _writer_argv(data_path: str) -> List[str]:
+    """Command of the CSV row writer: the csvrows script, without site or package."""
+    return [sys.executable, "-I", "-S", csvrows.__file__, data_path]
+
+
+class TrajectoryCsvStream:
+    """Writes a run's trajectory CSV to ``path`` while the run integrates.
+
+    Use it as a context manager around ``simulate`` and pass ``send`` as its
+    ``on_chunk`` hook. Once the record holds RECORD_CHUNK samples, the stream
+    writes the header and starts the csvrows script as a second process whose
+    standard output is the file. From then on, each call appends the new
+    rows' raw column slices to a temporary data file and passes their count
+    down a pipe; the second process formats them while the run goes on, so
+    ``simulate`` never waits for it. ``simulate`` makes its last call as the
+    run ends, with every row. Leaving the block waits for the second process
+    and raises OSError if it failed.
+
+    A record that stays under one chunk, a process allowed only one CPU, or
+    a second process that cannot be started gets the file from
+    ``write_trajectory_csv`` on leaving the block instead. The bytes are the
+    same either way. If the block raises, the second process is killed and a
+    partly written file is removed. The temporary data file is always
+    removed.
+    """
+
+    def __init__(self, path: str):
+        # Loaded before the run rather than at its first chunk: importing it
+        # mid-run left the main process's peak resident set about 1.5 MB
+        # higher on a stride-1 run of ppng_lateral. Importing the package
+        # does not load it, since it costs about 7 ms.
+        import subprocess  # noqa: F401
+
+        self.path = path
+        self._record: Optional[TrajectoryRecord] = None
+        self._in_process = False
+        self._proc = None
+        self._data = None
+        self._data_path: Optional[str] = None
+        self._sent = 0
+        self._pipe_broken = False
+        self._opened = False
+
+    def __enter__(self) -> "TrajectoryCsvStream":
+        return self
+
+    def send(self, record: TrajectoryRecord) -> None:
+        """Hand over the rows of ``record`` not sent yet; its columns are ``array('d')``."""
+        self._record = record
+        if self._proc is None:
+            if self._in_process or len(record.t) < RECORD_CHUNK:
+                return
+            self._start()
+            if self._proc is None:
+                return
+        n = len(record.t)
+        if n == self._sent or self._pipe_broken:
+            return
+        data = self._data
+        for name in CSV_COLUMNS:
+            with memoryview(getattr(record, name)) as column:
+                data.write(column[self._sent:n])
+        data.flush()
+        try:
+            self._proc.stdin.write((n - self._sent).to_bytes(csvrows.COUNT_BYTES, sys.byteorder))
+        except BrokenPipeError:
+            # The writer has died; leaving the block reports its exit status.
+            self._pipe_broken = True
+        self._sent = n
+
+    def _start(self) -> None:
+        if _usable_cpus() < 2:
+            self._in_process = True
+            return
+        import subprocess
+        import tempfile
+
+        fd, self._data_path = tempfile.mkstemp(prefix="mcpursuit-", suffix=".f64")
+        self._data = open(fd, "wb")
+        with open(self.path, "wb") as csv:
+            self._opened = True
+            csv.write(CSV_HEADER.encode("ascii"))
+            csv.flush()
+            try:
+                self._proc = subprocess.Popen(
+                    _writer_argv(self._data_path),
+                    stdin=subprocess.PIPE,
+                    stdout=csv,
+                    stderr=subprocess.PIPE,
+                    bufsize=0,
+                )
+            except OSError:
+                self._in_process = True
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is not None:
+                self._abort()
+                return
+            try:
+                self._finish()
+            except BaseException:
+                self._abort()
+                raise
+        finally:
+            self._drop_data()
+
+    def _finish(self) -> None:
+        if self._proc is None:
+            self._opened = True
+            with open(self.path, "w", encoding="utf-8", newline="\n") as f:
+                write_trajectory_csv(self._record, f)
+            return
+        _, err = self._proc.communicate()
+        status = self._proc.returncode
+        if status != 0 or self._pipe_broken:
+            lines = err.decode("utf-8", "replace").strip().splitlines()
+            detail = f": {lines[-1]}" if lines else ""
+            raise OSError(f"{self.path}: the CSV row writer exited with status {status}{detail}")
+
+    def _abort(self) -> None:
+        if self._proc is not None and self._proc.returncode is None:
+            self._proc.kill()
+            self._proc.communicate()
+        if self._opened:
+            try:
+                os.remove(self.path)
+            except FileNotFoundError:
+                pass
+
+    def _drop_data(self) -> None:
+        if self._data is not None:
+            self._data.close()
+            self._data = None
+            os.remove(self._data_path)
 
 
 def read_trajectory_csv(source: TextIO) -> Dict[str, List[float]]:

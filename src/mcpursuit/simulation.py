@@ -13,6 +13,7 @@ from .guidance import scalar_evader_control, scalar_pursuer_control
 from .metrics import metric_values
 from .scenario_io import (
     CSV_COLUMNS,
+    RECORD_CHUNK,
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
@@ -23,15 +24,13 @@ from .scenario_io import (
 
 StateControl = Callable[[EngagementState, float], float]
 
-#: Samples buffered per column before they move into the packed record.
-_CHUNK = 4096
-
 
 def simulate(
     scenario: ScenarioConfig,
     *,
     pursuer_control: Optional[StateControl] = None,
     evader_control: Optional[Callable[[float], float]] = None,
+    on_chunk: Optional[Callable[[TrajectoryRecord], None]] = None,
 ) -> TrajectoryRecord:
     """Integrate one engagement and return its sampled record.
 
@@ -48,6 +47,11 @@ def simulate(
     The keyword overrides replace the configured law or program; the law
     override receives the full engagement state plus the evader control value
     at that instant. Overrides do not relax validation of the scenario itself.
+
+    ``on_chunk``, if given, is called with the record each time buffered
+    samples move into its packed columns: after every RECORD_CHUNK samples
+    and once at the end of the run, before the termination is set. It must
+    not resize the columns.
     """
     validate_scenario(scenario)
 
@@ -99,8 +103,10 @@ def simulate(
         for column, buf in zip(columns, buffers):
             column.frombytes(pack(f"{len(buf)}d", *buf))
             buf.clear()
+        if on_chunk is not None:
+            on_chunk(record)
 
-    room = _CHUNK
+    room = RECORD_CHUNK
 
     cos = math.cos
     sin = math.sin
@@ -147,7 +153,7 @@ def simulate(
         room -= 1
         if not room:
             flush()
-            room = _CHUNK
+            room = RECORD_CHUNK
         if rn <= capture_radius:
             termination = TERMINATION_CAPTURE
             break

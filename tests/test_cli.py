@@ -14,6 +14,8 @@ from mcpursuit.cli import (
     EXIT_VALIDATION,
     main,
 )
+from mcpursuit.guidance import stability_step_cap
+from mcpursuit.scenario_io import parse_scenario, read_trajectory_csv, scaled_law
 
 FAST_SCENARIO = """\
 nu = 0.4
@@ -207,3 +209,34 @@ def test_compare_matches_mcpg_and_exact_against_a_still_evader(scenario_file, tm
     cells = {row.split(",")[0]: row.split(",") for row in rows}
     # With a straight evader the feedforward term vanishes.
     assert cells["mcpg"][3:] == cells["exact"][3:]
+
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_bad_capture_radius_on_ppng_is_a_validation_error(radius, tmp_path, capsys):
+    # The ppng default step divides by the capture radius.
+    code = main(
+        ["run", "--scenario", os.path.join(SCENARIOS, "ppng_lateral.txt"),
+         "--out", str(tmp_path / "o"), "--set", f"capture_radius={radius}"]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "capture_radius" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_tightens_its_shared_step_to_the_largest_gain(tmp_path, capsys):
+    path = os.path.join(SCENARIOS, "straight_chase.txt")
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--scenario", path, "--out", out, "--gains", "1,3"]) == EXIT_OK
+    capsys.readouterr()
+    with open(path, encoding="utf-8") as f:
+        config = parse_scenario(f.read())
+    cap = stability_step_cap(scaled_law(config.pursuer_law, 3.0), config.nu, config.capture_radius)
+    assert cap < config.step_size
+    for m in ("1", "3"):
+        with open(os.path.join(out, f"gain_x{m}", "trajectory.csv"), encoding="utf-8") as f:
+            t = read_trajectory_csv(f)["t"]
+        assert t[1] == config.sample_stride * cap

@@ -4,10 +4,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ParseError, ValidationError
@@ -24,6 +27,8 @@ from mcpursuit.guidance import (
 )
 from mcpursuit.scenario_io import (
     CSV_COLUMNS,
+    KNOWN_KEYS,
+    MAX_STEPS,
     TERMINATION_TIME_LIMIT,
     TrajectoryRecord,
     build_scenario,
@@ -245,7 +250,7 @@ def test_written_floats_survive_exactly():
         pursuer_init=_state(0.1, 1e-300, math.pi),
         evader_init=_state(-1e12, 2.0 / 3.0, -math.pi),
         pursuer_law=MCPG(1.0 / 7.0),
-        step_size=0.0001,
+        step_size=0.1,
         t_max=1e6,
     )
     assert parse_scenario(write_scenario(config)) == config
@@ -400,3 +405,55 @@ def test_with_law_swaps_only_the_law():
     assert swapped.nu == config.nu
     assert swapped.evader_program == config.evader_program
     assert initial_range(swapped) == initial_range(config)
+
+
+SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+
+def _shipped(name):
+    with open(os.path.join(SHIPPED, f"{name}.txt"), encoding="utf-8") as f:
+        return f.read()
+
+
+def test_step_budget_is_checked_before_any_run():
+    text = _shipped("straight_chase")
+    with pytest.raises(ValidationError, match=r"60000000000 steps.*MAX_STEPS = 100000000"):
+        parse_scenario_with_overrides(text, {"t_max": "1e9"})
+    # A power-of-two step makes the step count exact on both sides of the limit.
+    h = 2.0 ** -7
+    at_limit = {"step_size": repr(h), "t_max": repr(MAX_STEPS * h)}
+    assert parse_scenario_with_overrides(text, at_limit).t_max == MAX_STEPS * h
+    with pytest.raises(ValidationError, match=str(MAX_STEPS + 1)):
+        parse_scenario_with_overrides(text, dict(at_limit, t_max=repr((MAX_STEPS + 1) * h)))
+
+
+def test_step_budget_reports_an_overflowing_step_count():
+    with pytest.raises(ValidationError, match="inf steps"):
+        parse_scenario_with_overrides(
+            _shipped("straight_chase"), {"step_size": "5e-324", "t_max": "1e300"})
+
+
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "-2.5", "5e-324", "-5e-324", "1e-310", "1e308",
+                     "-1e308", "1e200", "3", "-7", "12345678901234567890", "", "abc",
+                     "1e", "0x10", "mcpg", "ppng", "zero", "sinusoid"]),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=8),
+)
+
+
+@example("ppng_lateral", {"capture_radius": "0"})
+@example("ppng_lateral", {"capture_radius": "-1"})
+@given(
+    st.sampled_from(["circling_evader", "ppng_lateral", "random_weave", "sine_weave",
+                     "straight_chase"]),
+    st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), _ODD_VALUES, min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_scenario_input_parses_or_fails_cleanly(name, overrides):
+    try:
+        config = parse_scenario_with_overrides(_shipped(name), overrides)
+    except (ParseError, ValidationError):
+        return
+    validate_scenario(config)

@@ -11,12 +11,13 @@ from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import MCPG, Constant, Sinusoid, Zero
 from mcpursuit.scenario_io import (
     CSV_COLUMNS,
+    RECORD_CHUNK,
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
     build_scenario,
 )
-from mcpursuit.simulation import _CHUNK, simulate
+from mcpursuit.simulation import simulate
 
 
 def _state(x, y, heading):
@@ -158,7 +159,7 @@ def _column_lengths(record):
     return {len(getattr(record, name)) for name in CSV_COLUMNS}
 
 
-@pytest.mark.parametrize("n", [_CHUNK, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("n", [RECORD_CHUNK, 2 * RECORD_CHUNK + 3])
 def test_packed_columns_stay_aligned_across_chunks(n):
     h = 2.0 ** -10
     record = simulate(_scenario(step_size=h, t_max=(n - 1) * h, pursuer_law=MCPG(0.1)))
@@ -177,14 +178,14 @@ def test_capture_exit_keeps_the_last_partial_chunk():
     )
     record = simulate(config, pursuer_control=lambda s, ue: 0.0, evader_control=lambda t: 0.0)
     assert record.termination == TERMINATION_CAPTURE
-    assert record.n_samples % _CHUNK and record.n_samples > _CHUNK
+    assert record.n_samples % RECORD_CHUNK and record.n_samples > RECORD_CHUNK
     assert _column_lengths(record) == {record.n_samples}
     assert record.r_norm[-1] <= config.capture_radius < record.r_norm[-2]
 
 
 def test_non_finite_exit_keeps_the_last_partial_chunk():
     h = 2.0 ** -7
-    last = _CHUNK + 904
+    last = RECORD_CHUNK + 904
     config = _scenario(step_size=h, t_max=2.0 * last * h)
 
     def explode(state, ue):
@@ -202,7 +203,7 @@ def test_recorded_samples_are_packed():
     # about thirtyfold, so the record is kept short: three chunks, the last
     # one partial.
     h = 2.0 ** -10
-    n = 2 * _CHUNK + 3
+    n = 2 * RECORD_CHUNK + 3
     config = _scenario(step_size=h, t_max=(n - 1) * h, pursuer_law=MCPG(0.1))
     tracemalloc.start()
     try:
