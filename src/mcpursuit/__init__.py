@@ -7,15 +7,7 @@ within a stated horizon, engagement metrics, deterministic scenario and
 trajectory file formats, and a command line front end.
 """
 
-from .dynamics import (
-    EngagementState,
-    EngagementStateRate,
-    ParticleState,
-    SystemParams,
-    derivatives,
-    frame_of,
-    step,
-)
+from .dynamics import EngagementState, ParticleState
 from .errors import (
     CertificateMismatch,
     DegenerateGamma,
@@ -47,10 +39,6 @@ from .guidance import (
     PiecewiseRandom,
     Sinusoid,
     Zero,
-    evader_control,
-    exact_control,
-    mcpg_control,
-    ppng_control,
     random_level,
     stability_step_cap,
 )
@@ -85,7 +73,6 @@ __all__ = [
     "DegenerateGamma",
     "DegenerateStart",
     "EngagementState",
-    "EngagementStateRate",
     "Exact",
     "GainCertificate",
     "InitialCollision",
@@ -102,7 +89,6 @@ __all__ = [
     "PlanarVector",
     "ScenarioConfig",
     "Sinusoid",
-    "SystemParams",
     "TrajectoryRecord",
     "ValidationError",
     "Zero",
@@ -115,26 +101,19 @@ __all__ = [
     "compute_c1",
     "compute_metrics",
     "cross",
-    "derivatives",
     "design_certificate",
     "dot",
-    "evader_control",
-    "exact_control",
-    "frame_of",
     "gamma_envelope",
     "initial_range",
     "initial_state",
-    "mcpg_control",
     "norm",
     "parse_scenario",
     "perp",
-    "ppng_control",
     "ppng_equivalent_gain",
     "random_level",
     "read_trajectory_csv",
     "simulate",
     "stability_step_cap",
-    "step",
     "unit",
     "validate_scenario",
     "write_scenario",

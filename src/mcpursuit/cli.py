@@ -28,7 +28,7 @@ from .errors import (
     ZeroVector,
 )
 from .gain_design import GainCertificate, design_certificate
-from .guidance import MCPG, PPNG, Exact, stability_step_cap
+from .guidance import MCPG, PPNG, Exact, gain, scaled, stability_step_cap
 from .metrics import check_envelope, compute_metrics
 from .scenario_io import (
     KNOWN_KEYS,
@@ -43,7 +43,6 @@ from .scenario_io import (
     initial_range,
     initial_state,
     parse_scenario_with_overrides,
-    scaled_law,
     write_summary_json,
 )
 from .simulation import simulate
@@ -150,9 +149,10 @@ def _post_transient_peak(gamma: List[float]) -> Optional[float]:
     The transient is taken as over when gamma first closes 95 percent of the
     gap between its starting value and the deepest value it ever reaches, so
     the measurement scales with the run instead of a fixed threshold. A run
-    that never gets below the sweep threshold reports None.
+    that never gets below the sweep threshold reports None, and so does an
+    empty record.
     """
-    floor = min(gamma)
+    floor = min(gamma, default=math.inf)
     if floor > SWEEP_TRANSIENT_GAMMA:
         return None
     settle = floor + SWEEP_SETTLE_FRACTION * (gamma[0] - floor)
@@ -160,10 +160,6 @@ def _post_transient_peak(gamma: List[float]) -> Optional[float]:
         if g <= settle:
             return max(gamma[i:]) + 1.0
     return None
-
-
-def _gain_of(law) -> float:
-    return law.N if isinstance(law, PPNG) else law.mu
 
 
 def _parse_gains(spec: str) -> List[float]:
@@ -188,10 +184,10 @@ def _cmd_sweep(args) -> int:
     prev_peak: Optional[float] = None
     # One step for every run: the scenario's, tightened to the stability cap
     # at the largest multiplier if that is smaller.
-    top = scaled_law(config.pursuer_law, max(multipliers))
+    top = scaled(config.pursuer_law, max(multipliers))
     step = min(config.step_size, stability_step_cap(top, config.nu, config.capture_radius))
     for m in multipliers:
-        cfg = replace(config, pursuer_law=scaled_law(config.pursuer_law, m), step_size=step)
+        cfg = replace(config, pursuer_law=scaled(config.pursuer_law, m), step_size=step)
         record, _ = _simulate_into(os.path.join(args.out, f"gain_x{m:g}"), cfg, args.figure)
         records.append(record)
         peak = _post_transient_peak(record.gamma)
@@ -202,7 +198,7 @@ def _cmd_sweep(args) -> int:
             ",".join(
                 (
                     f17(m),
-                    f17(_gain_of(cfg.pursuer_law)),
+                    f17(gain(cfg.pursuer_law)),
                     f17(peak) if peak is not None else "",
                     f17(ratio) if ratio is not None else "",
                 )
@@ -289,14 +285,12 @@ def _cmd_compare(args) -> int:
         ("ppng", PPNG(mu * r0)),
     ]
     records: List[TrajectoryRecord] = []
-    names: List[str] = []
     rows = ["law,step_size,termination,capture_time,final_gamma,peak_residual,peak_abs_u_p"]
     for name, law in laws:
         cap = stability_step_cap(law, config.nu, config.capture_radius)
         cfg = replace(config, pursuer_law=law, step_size=min(config.step_size, cap))
         record, _ = _simulate_into(os.path.join(args.out, name), cfg, args.figure)
         records.append(record)
-        names.append(name)
         rows.append(
             ",".join(
                 (
@@ -313,7 +307,7 @@ def _cmd_compare(args) -> int:
     with _open_out(args.out, "comparison.csv") as f:
         f.write("\n".join(rows) + "\n")
     with _open_out(args.out, "overlay.svg") as f:
-        emit_overlay_svg(records, names, f)
+        emit_overlay_svg(records, f)
     print(f"compare: mu={f17(mu)} ppng_gain={f17(mu * r0)} out={args.out}")
     return _run_exit(records)
 

@@ -9,8 +9,8 @@ Controls are re-evaluated at every RK4 stage with the stage's intermediate
 state and stage time. The step update is written as x + h*((k1 + 2*(k2+k3) +
 k4)/6) so a constant unit rate advances a coordinate by exactly h.
 
-Internal scalar control convention (used by the fast integration loop and by
-:func:`step`): the pursuer callable receives
+Scalar control convention (used by the integration loop and by the law
+closures in guidance): the pursuer callable receives
 
     (t, px, py, pth, cp, sp, ex, ey, eth, ce, se, u_e_now)
 
@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .errors import NonFiniteState
-from .geometry import PlanarVector, perp
+from .geometry import PlanarVector
 
 _cos = math.cos
 _sin = math.sin
@@ -55,58 +54,6 @@ class EngagementState:
     time: float
 
 
-@dataclass(frozen=True)
-class EngagementStateRate:
-    """Time derivative of an EngagementState under given controls."""
-
-    pursuer_velocity: PlanarVector
-    pursuer_heading_rate: float
-    evader_velocity: PlanarVector
-    evader_heading_rate: float
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Integration parameters: speed ratio, step size, capture radius."""
-
-    nu: float
-    step_size: float
-    capture_radius: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.nu < 1.0:
-            raise ValueError(f"nu out of [0, 1): {self.nu}")
-        if not self.step_size > 0.0:
-            raise ValueError(f"step_size must be positive: {self.step_size}")
-        if not self.capture_radius > 0.0:
-            raise ValueError(f"capture_radius must be positive: {self.capture_radius}")
-
-
-def frame_of(p: ParticleState) -> Tuple[PlanarVector, PlanarVector]:
-    """Natural frame of a particle: unit tangent and its counterclockwise normal."""
-    tangent = PlanarVector(_cos(p.heading), _sin(p.heading))
-    return tangent, perp(tangent)
-
-
-def derivatives(s: EngagementState, u_p: float, u_e: float, nu: float) -> EngagementStateRate:
-    """State rates under curvature controls u_p (pursuer) and u_e (evader).
-
-    The pursuer translates along its unit tangent; the evader along nu times
-    its tangent. Heading rates are u_p and nu*u_e respectively, which is the
-    curvature steering model expressed in heading-angle coordinates.
-    """
-    pt = _cos(s.pursuer.heading)
-    ps = _sin(s.pursuer.heading)
-    et = _cos(s.evader.heading)
-    es = _sin(s.evader.heading)
-    return EngagementStateRate(
-        pursuer_velocity=PlanarVector(pt, ps),
-        pursuer_heading_rate=u_p,
-        evader_velocity=PlanarVector(nu * et, nu * es),
-        evader_heading_rate=nu * u_e,
-    )
-
-
 def rk4_step_scalars(
     t: float,
     px: float,
@@ -124,12 +71,12 @@ def rk4_step_scalars(
 ) -> Tuple[float, float, float, float, float, float]:
     """One classical RK4 step on the six scalar state components.
 
-    Low-level primitive shared by :func:`step` and the simulation loop; the
-    callables follow the scalar control convention in the module docstring.
+    The simulation loop's step; the callables follow the scalar control
+    convention in the module docstring.
     ``ue1`` and ``a1`` are the stage-1 evader and pursuer controls at
     (t, state), if the caller already has them; pass both or neither.
     Returns the state at t + h. Raises nothing of its own; trig of an infinite
-    heading surfaces as ValueError, which callers convert to NonFiniteState.
+    heading surfaces as ValueError, which simulate turns into a non_finite end.
     """
     half = 0.5 * h
 
@@ -199,52 +146,3 @@ def rk4_step_scalars(
         eth + h * ((b1 + 2.0 * (b2 + b3) + b4) / 6.0),
     )
 
-
-def step(
-    s: EngagementState,
-    pursuer_control: Callable[[EngagementState, float], float],
-    evader_control: Callable[[float], float],
-    params: SystemParams,
-) -> EngagementState:
-    """Advance the engagement by one RK4 step of length params.step_size.
-
-    ``pursuer_control(state, u_e_now)`` is a feedback law evaluated at each
-    stage with the stage's intermediate state; ``evader_control(t)`` is the
-    evader's open-loop steering program. Raises NonFiniteState if any state
-    component fails to stay finite.
-    """
-
-    def scalar_pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
-        stage = EngagementState(
-            pursuer=ParticleState(PlanarVector(px, py), pth),
-            evader=ParticleState(PlanarVector(ex, ey), eth),
-            time=t,
-        )
-        return pursuer_control(stage, ue)
-
-    try:
-        px, py, pth, ex, ey, eth = rk4_step_scalars(
-            s.time,
-            s.pursuer.position.x,
-            s.pursuer.position.y,
-            s.pursuer.heading,
-            s.evader.position.x,
-            s.evader.position.y,
-            s.evader.heading,
-            params.step_size,
-            params.nu,
-            scalar_pursuer,
-            evader_control,
-        )
-    except (ValueError, OverflowError) as exc:
-        raise NonFiniteState(f"state left the finite domain during a step: {exc}") from exc
-
-    for v in (px, py, pth, ex, ey, eth):
-        if not math.isfinite(v):
-            raise NonFiniteState(f"non-finite state component after step at t={s.time}")
-
-    return EngagementState(
-        pursuer=ParticleState(PlanarVector(px, py), pth),
-        evader=ParticleState(PlanarVector(ex, ey), eth),
-        time=s.time + params.step_size,
-    )

@@ -26,25 +26,33 @@ interval from a SplitMix64 counter-based generator keyed on (seed, interval
 index) and interpolates linearly between interval midpoints, so the signal is
 continuous, bounded by u_max, and a pure function of (seed, t) on every
 platform.
+
+Each law and each program is one frozen dataclass that holds everything
+about its variant: its scenario key ``variant``, its parameters as fields,
+and its control closure. LAWS and PROGRAMS map the keys to the classes, and
+scenario parsing, writing and gain sweeps loop over them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, fields, replace
+from typing import Callable, ClassVar, Dict, Union
 
-from .dynamics import EngagementState
-from .errors import ZeroBaseline
+from .errors import ValidationError, ZeroBaseline
 
 _sqrt = math.sqrt
 _sin = math.sin
-_cos = math.cos
 _floor = math.floor
 
 
 # ---------------------------------------------------------------------------
 # pursuer law records
+#
+# A law's one field is its gain. stability_gain(capture_radius) is its
+# worst-case curvature-per-w gain before termination, which sets the
+# stability cap on the step. scalar_control(nu) returns its closure in the
+# integrator's scalar control convention (see dynamics).
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -56,30 +64,63 @@ def _require_finite_positive(name: str, value: float) -> None:
 class MCPG:
     """Motion-camouflage proportional guidance with curvature gain mu > 0."""
 
+    variant: ClassVar[str] = "mcpg"
     mu: float
 
     def __post_init__(self) -> None:
         _require_finite_positive("mu", self.mu)
+
+    def stability_gain(self, capture_radius: float) -> float:
+        return self.mu
+
+    def scalar_control(self, nu: float) -> Callable[..., float]:
+        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _mu=self.mu):
+            return _mcpg_u(px - ex, py - ey, cp - _nu * ce, sp - _nu * se, _mu)
+
+        return control
 
 
 @dataclass(frozen=True)
 class Exact:
     """MCPG plus the exact evader-steering feedforward term; gain mu > 0."""
 
+    variant: ClassVar[str] = "exact"
     mu: float
 
     def __post_init__(self) -> None:
         _require_finite_positive("mu", self.mu)
+
+    def stability_gain(self, capture_radius: float) -> float:
+        return self.mu
+
+    def scalar_control(self, nu: float) -> Callable[..., float]:
+        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _mu=self.mu):
+            return _exact_u(
+                px - ex, py - ey, cp - _nu * ce, sp - _nu * se, cp * ce + sp * se, _nu, _mu, ue
+            )
+
+        return control
 
 
 @dataclass(frozen=True)
 class PPNG:
     """Planar pure proportional navigation with navigation gain N > 0."""
 
+    variant: ClassVar[str] = "ppng"
     N: float
 
     def __post_init__(self) -> None:
         _require_finite_positive("N", self.N)
+
+    def stability_gain(self, capture_radius: float) -> float:
+        """The command stiffens as the range shrinks; N/capture_radius at worst."""
+        return self.N / capture_radius
+
+    def scalar_control(self, nu: float) -> Callable[..., float]:
+        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _n=self.N):
+            return _ppng_u(px - ex, py - ey, cp - _nu * ce, sp - _nu * se, _n)
+
+        return control
 
 
 PursuerLaw = Union[MCPG, Exact, PPNG]
@@ -87,20 +128,29 @@ PursuerLaw = Union[MCPG, Exact, PPNG]
 
 # ---------------------------------------------------------------------------
 # evader program records
+#
+# A program's fields are its parameters. scalar_control() returns its
+# t -> u_e closure.
 
 
 @dataclass(frozen=True)
 class Zero:
     """Straight-line evader, u_e = 0."""
 
+    variant: ClassVar[str] = "zero"
+
     def max_abs_control(self) -> float:
         return 0.0
+
+    def scalar_control(self) -> Callable[[float], float]:
+        return lambda t: 0.0
 
 
 @dataclass(frozen=True)
 class Constant:
     """Constant curvature c; the evader path is a circle of radius 1/|c|."""
 
+    variant: ClassVar[str] = "constant"
     c: float
 
     def __post_init__(self) -> None:
@@ -110,11 +160,16 @@ class Constant:
     def max_abs_control(self) -> float:
         return abs(self.c)
 
+    def scalar_control(self) -> Callable[[float], float]:
+        c = self.c
+        return lambda t: c
+
 
 @dataclass(frozen=True)
 class Sinusoid:
     """u_e(t) = amplitude * sin(angular_freq * t + phase)."""
 
+    variant: ClassVar[str] = "sinusoid"
     amplitude: float
     angular_freq: float
     phase: float = 0.0
@@ -127,6 +182,12 @@ class Sinusoid:
     def max_abs_control(self) -> float:
         return abs(self.amplitude)
 
+    def scalar_control(self) -> Callable[[float], float]:
+        amp = self.amplitude
+        omega = self.angular_freq
+        phase = self.phase
+        return lambda t: amp * _sin(omega * t + phase)
+
 
 @dataclass(frozen=True)
 class PiecewiseRandom:
@@ -138,6 +199,7 @@ class PiecewiseRandom:
     The signal is stateless: u_e(t) depends only on (seed, dwell, u_max, t).
     """
 
+    variant: ClassVar[str] = "piecewise_random"
     seed: int
     dwell: float
     u_max: float
@@ -151,8 +213,40 @@ class PiecewiseRandom:
     def max_abs_control(self) -> float:
         return self.u_max
 
+    def scalar_control(self) -> Callable[[float], float]:
+        """The closure keeps its current interval's levels between calls."""
+        seed = self.seed
+        dwell = self.dwell
+        u_max = self.u_max
+        first = random_level(seed, 0, u_max)
+        # The current interval's index, its level and the rise to the next
+        # level; refreshed only when a call lands in another interval.
+        k0 = 0
+        v0 = first
+        dv = random_level(seed, 1, u_max) - first
+
+        def control(t: float) -> float:
+            nonlocal k0, v0, dv
+            m = t / dwell - 0.5
+            k = _floor(m)
+            if k != k0:
+                if k < 0:
+                    return first
+                k0 = k
+                v0 = random_level(seed, k, u_max)
+                dv = random_level(seed, k + 1, u_max) - v0
+            return v0 + (m - k) * dv
+
+        return control
+
 
 EvaderProgram = Union[Zero, Constant, Sinusoid, PiecewiseRandom]
+
+#: Law and program records by their scenario ``variant`` key.
+LAWS: Dict[str, type] = {cls.variant: cls for cls in (MCPG, Exact, PPNG)}
+PROGRAMS: Dict[str, type] = {
+    cls.variant: cls for cls in (Zero, Constant, Sinusoid, PiecewiseRandom)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -203,156 +297,37 @@ def _ppng_u(rx: float, ry: float, drx: float, dry: float, n_gain: float) -> floa
     return n_gain * (rx * dry - ry * drx) / rsq
 
 
-def _state_scalars(s: EngagementState, nu: float):
-    cp = _cos(s.pursuer.heading)
-    sp = _sin(s.pursuer.heading)
-    ce = _cos(s.evader.heading)
-    se = _sin(s.evader.heading)
-    rx = s.pursuer.position.x - s.evader.position.x
-    ry = s.pursuer.position.y - s.evader.position.y
-    return rx, ry, cp - nu * ce, sp - nu * se, cp * ce + sp * se
-
-
 # ---------------------------------------------------------------------------
-# spec-level control operations
+# operations on any law or program
 
 
-def mcpg_control(s: EngagementState, mu: float, nu: float) -> float:
-    """MCPG steering command at state s."""
-    rx, ry, drx, dry, _ = _state_scalars(s, nu)
-    return _mcpg_u(rx, ry, drx, dry, mu)
+def gain(law: PursuerLaw) -> float:
+    """The law's gain, its one field: mu for mcpg and exact, N for ppng."""
+    return getattr(law, fields(law)[0].name)
 
 
-def exact_control(s: EngagementState, mu: float, nu: float, u_e_now: float) -> float:
-    """Exact-law steering command; needs the evader's current curvature."""
-    rx, ry, drx, dry, dpe = _state_scalars(s, nu)
-    return _exact_u(rx, ry, drx, dry, dpe, nu, mu, u_e_now)
+def scaled(law: PursuerLaw, multiplier: float) -> PursuerLaw:
+    """The same law with its gain multiplied; used by gain sweeps.
 
-
-def ppng_control(s: EngagementState, n_gain: float, nu: float) -> float:
-    """Pure proportional navigation steering command at state s."""
-    rx, ry, drx, dry, _ = _state_scalars(s, nu)
-    return _ppng_u(rx, ry, drx, dry, n_gain)
-
-
-def evader_control(program: EvaderProgram, t: float) -> float:
-    """Evader curvature u_e(t) for any program, as a pure function of t."""
-    if isinstance(program, Zero):
-        return 0.0
-    if isinstance(program, Constant):
-        return program.c
-    if isinstance(program, Sinusoid):
-        return program.amplitude * _sin(program.angular_freq * t + program.phase)
-    if isinstance(program, PiecewiseRandom):
-        m = t / program.dwell - 0.5
-        k = _floor(m)
-        if k < 0:
-            return random_level(program.seed, 0, program.u_max)
-        v0 = random_level(program.seed, k, program.u_max)
-        v1 = random_level(program.seed, k + 1, program.u_max)
-        return v0 + (m - k) * (v1 - v0)
-    raise TypeError(f"unknown evader program {program!r}")
-
-
-# ---------------------------------------------------------------------------
-# adapters used by the integrator
+    Raises ValidationError naming the multiplier when the product is not a
+    valid gain, for example when it overflows to infinity.
+    """
+    try:
+        return replace(law, **{fields(law)[0].name: gain(law) * multiplier})
+    except ValueError as exc:
+        raise ValidationError(f"gain multiplier {multiplier!r}: {exc}") from None
 
 
 def scalar_pursuer_control(law: PursuerLaw, nu: float) -> Callable[..., float]:
     """Fast closure for the integrator's scalar control convention."""
-    if isinstance(law, MCPG):
-        mu = law.mu
-
-        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _mu=mu):
-            return _mcpg_u(px - ex, py - ey, cp - _nu * ce, sp - _nu * se, _mu)
-
-        return control
-    if isinstance(law, Exact):
-        mu = law.mu
-
-        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _mu=mu):
-            return _exact_u(
-                px - ex, py - ey, cp - _nu * ce, sp - _nu * se, cp * ce + sp * se, _nu, _mu, ue
-            )
-
-        return control
-    if isinstance(law, PPNG):
-        n_gain = law.N
-
-        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _n=n_gain):
-            return _ppng_u(px - ex, py - ey, cp - _nu * ce, sp - _nu * se, _n)
-
-        return control
-    raise TypeError(f"unknown pursuer law {law!r}")
-
-
-def pursuer_control(law: PursuerLaw, nu: float) -> Callable[[EngagementState, float], float]:
-    """State-level callable (state, u_e_now) -> u_p, for dynamics.step."""
-    if isinstance(law, MCPG):
-        return lambda s, ue: mcpg_control(s, law.mu, nu)
-    if isinstance(law, Exact):
-        return lambda s, ue: exact_control(s, law.mu, nu, ue)
-    if isinstance(law, PPNG):
-        return lambda s, ue: ppng_control(s, law.N, nu)
-    raise TypeError(f"unknown pursuer law {law!r}")
+    return law.scalar_control(nu)
 
 
 def scalar_evader_control(program: EvaderProgram) -> Callable[[float], float]:
-    """Fast t -> u_e closure; PiecewiseRandom keeps its current interval's levels."""
-    if isinstance(program, Zero):
-        return lambda t: 0.0
-    if isinstance(program, Constant):
-        c = program.c
-        return lambda t: c
-    if isinstance(program, Sinusoid):
-        amp = program.amplitude
-        omega = program.angular_freq
-        phase = program.phase
-        return lambda t: amp * _sin(omega * t + phase)
-    if isinstance(program, PiecewiseRandom):
-        seed = program.seed
-        dwell = program.dwell
-        u_max = program.u_max
-        first = random_level(seed, 0, u_max)
-        # The current interval's index, its level and the rise to the next
-        # level; refreshed only when a call lands in another interval.
-        k0 = 0
-        v0 = first
-        dv = random_level(seed, 1, u_max) - first
-
-        def control(t: float) -> float:
-            nonlocal k0, v0, dv
-            m = t / dwell - 0.5
-            k = _floor(m)
-            if k != k0:
-                if k < 0:
-                    return first
-                k0 = k
-                v0 = random_level(seed, k, u_max)
-                dv = random_level(seed, k + 1, u_max) - v0
-            return v0 + (m - k) * dv
-
-        return control
-    raise TypeError(f"unknown evader program {program!r}")
-
-
-# ---------------------------------------------------------------------------
-# stability bookkeeping shared with scenario validation
-
-
-def stability_gain(law: PursuerLaw, capture_radius: float) -> float:
-    """Worst-case curvature-per-w gain of a law before termination.
-
-    For MCPG/Exact this is mu. PPNG's command stiffens as the range shrinks,
-    so its worst case before the capture test fires is N/capture_radius.
-    """
-    if isinstance(law, (MCPG, Exact)):
-        return law.mu
-    if isinstance(law, PPNG):
-        return law.N / capture_radius
-    raise TypeError(f"unknown pursuer law {law!r}")
+    """Fast t -> u_e closure of any evader program."""
+    return program.scalar_control()
 
 
 def stability_step_cap(law: PursuerLaw, nu: float, capture_radius: float) -> float:
     """Largest step size the fixed-step integrator accepts for this law."""
-    return 0.1 / (stability_gain(law, capture_radius) * (1.0 + nu))
+    return 0.1 / (law.stability_gain(capture_radius) * (1.0 + nu))

@@ -23,10 +23,15 @@ everything after the first ``=``, stripped. Example::
     capture_radius = 0.05
     sample_stride = 1
 
-Law variants: ``mcpg`` and ``exact`` take ``pursuer_law.mu``; ``ppng`` takes
-``pursuer_law.N``. Program variants: ``zero`` (default, no parameters),
-``constant`` (``c``), ``sinusoid`` (``amplitude``, ``angular_freq``, optional
-``phase``), ``piecewise_random`` (``seed``, ``dwell``, ``u_max``).
+The ``pursuer_law.*`` and ``evader_program.*`` keys come from the law and
+program records in guidance: ``variant`` selects a record from LAWS or
+PROGRAMS, and each of its dataclass fields is one key. An ``int`` field is
+read as an integer, a field with a default is optional, and every other
+field is a required finite number. Law variants: ``mcpg`` and ``exact`` take
+``pursuer_law.mu``; ``ppng`` takes ``pursuer_law.N``. Program variants:
+``zero`` (default, no parameters), ``constant`` (``c``), ``sinusoid``
+(``amplitude``, ``angular_freq``, optional ``phase``), ``piecewise_random``
+(``seed``, ``dwell``, ``u_max``).
 
 Defaults when a key is omitted: ``label`` empty, ``evader_program.variant``
 zero, ``capture_radius`` 0.05, ``sample_stride`` 1, ``t_max`` twice the
@@ -59,29 +64,17 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import islice
 from operator import neg
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import csvrows
 from .csvrows import CSV_COLUMNS, CSV_HEADER, F17, rows
 from .dynamics import EngagementState, ParticleState
 from .errors import ParseError, ValidationError
 from .geometry import PlanarVector
-from .guidance import (
-    MCPG,
-    PPNG,
-    Constant,
-    EvaderProgram,
-    Exact,
-    PiecewiseRandom,
-    PursuerLaw,
-    Sinusoid,
-    Zero,
-    stability_step_cap,
-)
-from .metrics import MetricSample, metric_values
+from .guidance import LAWS, PROGRAMS, EvaderProgram, PursuerLaw, Zero, stability_step_cap
 
 TERMINATION_CAPTURE = "capture"
 TERMINATION_TIME_LIMIT = "time_limit"
@@ -103,32 +96,19 @@ _POINTS_CHUNK = 4096
 #: exactly the cap is never rejected for a rounding hair.
 _CAP_SLOP = 1e-9
 
+#: Key prefix of the law and of the program, with their records by variant.
+_VARIANT_TABLES = (("pursuer_law", LAWS), ("evader_program", PROGRAMS))
+
 KNOWN_KEYS = frozenset(
-    {
-        "label",
-        "nu",
-        "pursuer_init.x",
-        "pursuer_init.y",
-        "pursuer_init.heading",
-        "evader_init.x",
-        "evader_init.y",
-        "evader_init.heading",
-        "pursuer_law.variant",
-        "pursuer_law.mu",
-        "pursuer_law.N",
-        "evader_program.variant",
-        "evader_program.c",
-        "evader_program.amplitude",
-        "evader_program.angular_freq",
-        "evader_program.phase",
-        "evader_program.seed",
-        "evader_program.dwell",
-        "evader_program.u_max",
-        "step_size",
-        "t_max",
-        "capture_radius",
-        "sample_stride",
-    }
+    ["label", "nu", "step_size", "t_max", "capture_radius", "sample_stride"]
+    + [f"{p}.{c}" for p in ("pursuer_init", "evader_init") for c in ("x", "y", "heading")]
+    + [f"{prefix}.variant" for prefix, _ in _VARIANT_TABLES]
+    + [
+        f"{prefix}.{f.name}"
+        for prefix, table in _VARIANT_TABLES
+        for cls in table.values()
+        for f in fields(cls)
+    ]
 )
 
 
@@ -215,8 +195,11 @@ def validate_scenario(config: ScenarioConfig) -> None:
     _check_capture_radius(config.capture_radius)
     if not (isinstance(config.sample_stride, int) and config.sample_stride >= 1):
         raise ValidationError(f"sample_stride must be an integer >= 1: {config.sample_stride}")
-    if initial_range(config) == 0.0:
+    r_init = initial_range(config)
+    if r_init == 0.0:
         raise ValidationError("coincident initial positions: the baseline has zero length")
+    if not math.isfinite(r_init):
+        raise ValidationError(f"initial range is not finite: {r_init}")
     bound = config.evader_program.max_abs_control()
     if not math.isfinite(bound):
         raise ValidationError("evader program has an unbounded curvature declaration")
@@ -301,13 +284,32 @@ class _EntryReader:
             return default
         return self._convert(key, int, "an integer")
 
-    def require(self, key: str) -> float:
+    def require(self, key: str, integer: bool = False):
         if key not in self.entries:
             raise ValidationError(f"missing required key {key!r}")
-        return self._convert(key, _finite_float, "a finite number")
+        return self.integer(key) if integer else self.number(key)
 
     def unused(self):
         return sorted(set(self.entries) - self.used)
+
+
+def _variant_from_entries(r: _EntryReader, prefix: str, table: dict, variant: str):
+    """The record ``table[variant]``, read from the ``prefix.<field>`` keys."""
+    if variant not in table:
+        raise ValidationError(f"unknown {prefix}.variant {variant!r}")
+    cls = table[variant]
+    values = {}
+    for f in fields(cls):
+        key = f"{prefix}.{f.name}"
+        if f.default is MISSING:
+            values[f.name] = r.require(key, integer=f.type in (int, "int"))
+        else:
+            values[f.name] = r.number(key, f.default)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        what = prefix.replace("_", " ")
+        raise ValidationError(f"invalid {what}: {exc}") from exc
 
 
 def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
@@ -327,43 +329,10 @@ def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
     variant = r.raw("pursuer_law.variant")
     if variant is None:
         raise ValidationError("missing required key 'pursuer_law.variant'")
-    try:
-        if variant == "mcpg":
-            law: PursuerLaw = MCPG(r.require("pursuer_law.mu"))
-        elif variant == "exact":
-            law = Exact(r.require("pursuer_law.mu"))
-        elif variant == "ppng":
-            law = PPNG(r.require("pursuer_law.N"))
-        else:
-            raise ValidationError(f"unknown pursuer_law.variant {variant!r}")
-    except ValueError as exc:
-        raise ValidationError(f"invalid pursuer law: {exc}") from exc
-
-    pvariant = r.raw("evader_program.variant") or "zero"
-    try:
-        if pvariant == "zero":
-            program: EvaderProgram = Zero()
-        elif pvariant == "constant":
-            program = Constant(r.require("evader_program.c"))
-        elif pvariant == "sinusoid":
-            program = Sinusoid(
-                amplitude=r.require("evader_program.amplitude"),
-                angular_freq=r.require("evader_program.angular_freq"),
-                phase=r.number("evader_program.phase", 0.0),
-            )
-        elif pvariant == "piecewise_random":
-            seed = r.integer("evader_program.seed")
-            if seed is None:
-                raise ValidationError("missing required key 'evader_program.seed'")
-            program = PiecewiseRandom(
-                seed=seed,
-                dwell=r.require("evader_program.dwell"),
-                u_max=r.require("evader_program.u_max"),
-            )
-        else:
-            raise ValidationError(f"unknown evader_program.variant {pvariant!r}")
-    except ValueError as exc:
-        raise ValidationError(f"invalid evader program: {exc}") from exc
+    law = _variant_from_entries(r, "pursuer_law", LAWS, variant)
+    program = _variant_from_entries(
+        r, "evader_program", PROGRAMS, r.raw("evader_program.variant") or "zero"
+    )
 
     step_size = r.number("step_size")
     t_max = r.number("t_max")
@@ -428,36 +397,13 @@ def write_scenario(config: ScenarioConfig) -> str:
         lines.append(f"{prefix}.x = {_format_value(p.position.x)}")
         lines.append(f"{prefix}.y = {_format_value(p.position.y)}")
         lines.append(f"{prefix}.heading = {_format_value(p.heading)}")
-    law = config.pursuer_law
-    if isinstance(law, MCPG):
-        lines.append("pursuer_law.variant = mcpg")
-        lines.append(f"pursuer_law.mu = {_format_value(law.mu)}")
-    elif isinstance(law, Exact):
-        lines.append("pursuer_law.variant = exact")
-        lines.append(f"pursuer_law.mu = {_format_value(law.mu)}")
-    elif isinstance(law, PPNG):
-        lines.append("pursuer_law.variant = ppng")
-        lines.append(f"pursuer_law.N = {_format_value(law.N)}")
-    else:
-        raise ValidationError(f"unknown pursuer law {law!r}")
-    program = config.evader_program
-    if isinstance(program, Zero):
-        lines.append("evader_program.variant = zero")
-    elif isinstance(program, Constant):
-        lines.append("evader_program.variant = constant")
-        lines.append(f"evader_program.c = {_format_value(program.c)}")
-    elif isinstance(program, Sinusoid):
-        lines.append("evader_program.variant = sinusoid")
-        lines.append(f"evader_program.amplitude = {_format_value(program.amplitude)}")
-        lines.append(f"evader_program.angular_freq = {_format_value(program.angular_freq)}")
-        lines.append(f"evader_program.phase = {_format_value(program.phase)}")
-    elif isinstance(program, PiecewiseRandom):
-        lines.append("evader_program.variant = piecewise_random")
-        lines.append(f"evader_program.seed = {program.seed}")
-        lines.append(f"evader_program.dwell = {_format_value(program.dwell)}")
-        lines.append(f"evader_program.u_max = {_format_value(program.u_max)}")
-    else:
-        raise ValidationError(f"unknown evader program {program!r}")
+    for prefix, record in (
+        ("pursuer_law", config.pursuer_law),
+        ("evader_program", config.evader_program),
+    ):
+        lines.append(f"{prefix}.variant = {record.variant}")
+        for f in fields(record):
+            lines.append(f"{prefix}.{f.name} = {_format_value(getattr(record, f.name))}")
     lines.append(f"step_size = {_format_value(config.step_size)}")
     lines.append(f"t_max = {_format_value(config.t_max)}")
     lines.append(f"capture_radius = {_format_value(config.capture_radius)}")
@@ -516,28 +462,6 @@ class TrajectoryRecord:
             evader=ParticleState(PlanarVector(self.ex[i], self.ey[i]), self.etheta[i]),
             time=self.t[i],
         )
-
-    def metric_at(self, i: int) -> MetricSample:
-        rx = self.px[i] - self.ex[i]
-        ry = self.py[i] - self.ey[i]
-        nu = self.scenario.nu
-        drx = math.cos(self.ptheta[i]) - nu * math.cos(self.etheta[i])
-        dry = math.sin(self.ptheta[i]) - nu * math.sin(self.etheta[i])
-        rn, _, g, w, los, residual = metric_values(rx, ry, drx, dry)
-        return MetricSample(
-            baseline=PlanarVector(rx, ry),
-            baseline_len=rn,
-            rel_vel=PlanarVector(drx, dry),
-            gamma=g,
-            w_signed=w,
-            los_rate=los,
-            residual=residual,
-        )
-
-    def samples(self) -> Iterator[Tuple[float, ParticleState, ParticleState, float, float, MetricSample]]:
-        for i in range(self.n_samples):
-            s = self.state_at(i)
-            yield self.t[i], s.pursuer, s.evader, self.u_p[i], self.u_e[i], self.metric_at(i)
 
 
 def f17(v: float) -> str:
@@ -759,9 +683,17 @@ def _fmt(v: float) -> str:
 
 
 def _svg_open(
-    sink: TextIO, xmin: float, xmax: float, ymin: float, ymax: float
+    sink: TextIO, xs: Sequence[Sequence[float]], ys: Sequence[Sequence[float]]
 ) -> float:
-    """Write the svg element fitted to the extents; return the stroke width."""
+    """Write the svg element fitted to the points of the columns; return the stroke width.
+
+    The figure's y axis is flipped, so its extents are -max(y) to -min(y).
+    Empty columns are skipped, and a figure with no points fits the origin.
+    """
+    xmin = min((min(c) for c in xs if c), default=0.0)
+    xmax = max((max(c) for c in xs if c), default=0.0)
+    ymin = -max((max(c) for c in ys if c), default=0.0)
+    ymax = -min((min(c) for c in ys if c), default=0.0)
     extent = max(xmax - xmin, ymax - ymin, 1e-9)
     margin = 0.05 * extent
     w = (xmax - xmin) + 2.0 * margin
@@ -811,14 +743,7 @@ def emit_figure_svg(record: TrajectoryRecord, sink: TextIO, baseline_count: int 
     Output depends only on the record and baseline_count.
     """
     pxs, pys, exs, eys = record.px, record.py, record.ex, record.ey
-    # Extents of the flipped figure: min(-y) is -max(y), at the same sample.
-    sw = _svg_open(
-        sink,
-        min(min(pxs), min(exs)),
-        max(max(pxs), max(exs)),
-        -max(max(pys), max(eys)),
-        -min(min(pys), min(eys)),
-    )
+    sw = _svg_open(sink, (pxs, exs), (pys, eys))
     write = sink.write
     n = record.n_samples
     for i in _baseline_indices(n, baseline_count):
@@ -848,20 +773,14 @@ _OVERLAY_STYLES = (
 )
 
 
-def emit_overlay_svg(records: List[TrajectoryRecord], labels: List[str], sink: TextIO) -> None:
+def emit_overlay_svg(records: List[TrajectoryRecord], sink: TextIO) -> None:
     """Overlay several pursuer paths over a shared evader path."""
     if not records:
         raise ValidationError("overlay needs at least one record")
     evader_src = max(records, key=lambda r: r.n_samples)
     xs = [evader_src.ex] + [rec.px for rec in records]
     ys = [evader_src.ey] + [rec.py for rec in records]
-    sw = _svg_open(
-        sink,
-        min(min(c) for c in xs),
-        max(max(c) for c in xs),
-        -max(max(c) for c in ys),
-        -min(min(c) for c in ys),
-    )
+    sw = _svg_open(sink, xs, ys)
     _write_polyline(
         sink, evader_src.ex, evader_src.ey,
         f'stroke="#bb4444" stroke-width="{_fmt(sw)}" '
@@ -873,21 +792,3 @@ def emit_overlay_svg(records: List[TrajectoryRecord], labels: List[str], sink: T
         )
         _write_polyline(sink, rec.px, rec.py, f'{style} stroke-width="{_fmt(sw)}"')
     sink.write("</svg>\n")
-
-
-def scaled_law(law: PursuerLaw, multiplier: float) -> PursuerLaw:
-    """The same law with its gain scaled; used by gain sweeps."""
-    if multiplier <= 0.0 or not math.isfinite(multiplier):
-        raise ValidationError(f"gain multiplier must be finite and positive: {multiplier}")
-    if isinstance(law, MCPG):
-        return MCPG(law.mu * multiplier)
-    if isinstance(law, Exact):
-        return Exact(law.mu * multiplier)
-    if isinstance(law, PPNG):
-        return PPNG(law.N * multiplier)
-    raise ValidationError(f"unknown pursuer law {law!r}")
-
-
-def with_law(config: ScenarioConfig, law: PursuerLaw) -> ScenarioConfig:
-    """Copy of the config running a different pursuer law (not revalidated)."""
-    return replace(config, pursuer_law=law)

@@ -37,3 +37,14 @@ def state_from_rel(rx, ry, drx, dry, nu, t=0.0, evader_at=(0.0, 0.0)):
         evader=ParticleState(PlanarVector(ex0, ey0), eth),
         time=t,
     )
+
+
+def scalar_args(s, ue=0.0):
+    """The 12 arguments of the scalar control convention at state s, with u_e = ue."""
+    p, e = s.pursuer, s.evader
+    return (
+        s.time,
+        p.position.x, p.position.y, p.heading, math.cos(p.heading), math.sin(p.heading),
+        e.position.x, e.position.y, e.heading, math.cos(e.heading), math.sin(e.heading),
+        ue,
+    )

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from conftest import scalar_args
 from mcpursuit.cli import main as cli_main
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.gain_design import design_certificate
@@ -26,8 +27,7 @@ from mcpursuit.guidance import (
     PiecewiseRandom,
     Sinusoid,
     Zero,
-    mcpg_control,
-    ppng_control,
+    scalar_pursuer_control,
 )
 from mcpursuit.metrics import camouflage_test, check_envelope, compute_metrics
 from mcpursuit.scenario_io import (
@@ -359,11 +359,12 @@ def test_gain_families_coincide_under_their_equivalences(battery, tmp_path):
     config, cert, record = entries[0]
     nu = config.nu
     mu = cert.mu
+    mcpg = scalar_pursuer_control(MCPG(mu), nu)
     worst = 0.0
     for i in range(record.n_samples):
-        state = record.state_at(i)
-        a = mcpg_control(state, mu, nu)
-        b = ppng_control(state, mu * record.r_norm[i], nu)
+        args = scalar_args(record.state_at(i))
+        a = mcpg(*args)
+        b = scalar_pursuer_control(PPNG(mu * record.r_norm[i]), nu)(*args)
         scale = max(1.0, abs(a))
         worst = max(worst, abs(a - b) / scale)
     pointwise_ok = worst <= 1e-12

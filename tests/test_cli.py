@@ -1,10 +1,15 @@
 """Command line behavior, exercised in process through main()."""
 
+import io
 import json
 import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcpursuit.cli import (
     EXIT_IO,
@@ -14,8 +19,8 @@ from mcpursuit.cli import (
     EXIT_VALIDATION,
     main,
 )
-from mcpursuit.guidance import stability_step_cap
-from mcpursuit.scenario_io import parse_scenario, read_trajectory_csv, scaled_law
+from mcpursuit.guidance import scaled, stability_step_cap
+from mcpursuit.scenario_io import KNOWN_KEYS, parse_scenario, read_trajectory_csv
 
 FAST_SCENARIO = """\
 nu = 0.4
@@ -234,9 +239,82 @@ def test_sweep_tightens_its_shared_step_to_the_largest_gain(tmp_path, capsys):
     capsys.readouterr()
     with open(path, encoding="utf-8") as f:
         config = parse_scenario(f.read())
-    cap = stability_step_cap(scaled_law(config.pursuer_law, 3.0), config.nu, config.capture_radius)
+    cap = stability_step_cap(scaled(config.pursuer_law, 3.0), config.nu, config.capture_radius)
     assert cap < config.step_size
     for m in ("1", "3"):
         with open(os.path.join(out, f"gain_x{m}", "trajectory.csv"), encoding="utf-8") as f:
             t = read_trajectory_csv(f)["t"]
         assert t[1] == config.sample_stride * cap
+
+
+def _shipped(name):
+    return os.path.join(SCENARIOS, f"{name}.txt")
+
+
+# Commands whose inputs overflow, with the exit code each must end with.
+OVERFLOWS = [
+    # The initial range overflows to inf.
+    (["run", "--figure", "--scenario", _shipped("straight_chase"),
+      "--set", "evader_init.x=1e308", "--set", "t_max=0.5"], EXIT_VALIDATION),
+    # The first sample is non-finite, so the record is empty.
+    (["run", "--figure", "--scenario", _shipped("straight_chase"),
+      "--set", "pursuer_law.mu=1e308", "--set", "t_max=0"], EXIT_NUMERICAL),
+    (["sweep", "--gains", "1", "--scenario", _shipped("straight_chase"),
+      "--set", "pursuer_law.mu=1e308", "--set", "t_max=0"], EXIT_NUMERICAL),
+    # The scaled gain overflows to inf.
+    (["sweep", "--gains", "1e308", "--scenario", _shipped("straight_chase")], EXIT_VALIDATION),
+]
+
+
+@pytest.mark.parametrize("argv,code", OVERFLOWS)
+def test_overflowing_inputs_exit_with_their_documented_codes(argv, code, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# Values for --set, --r0 and --gains: malformed, non-finite, overflowing,
+# subnormal and a few valid ones. None of them asks for a long run once
+# t_max is at most 0.5: a step small enough for that is over MAX_STEPS.
+_CLI_VALUES = st.sampled_from(
+    ["0", "-0", "-1", "0.3", "0.9", "1.5", "3", "40", "5e-324", "1e-310", "1e154", "1e308",
+     "-1e308", "12345678901234567890", "", "abc", "nan", "inf", "mcpg", "exact", "ppng",
+     "zero", "constant", "sinusoid", "piecewise_random"]
+)
+_GAINS = st.sampled_from(
+    ["1", "3", "1,3", "0.5,2", "1e308", "1e-310", "5e-324", "0", "-1", "", "abc", "1,nan", "2,inf"]
+)
+SHIPPED = ("circling_evader", "ppng_lateral", "random_weave", "sine_weave", "straight_chase")
+
+
+@st.composite
+def _commands(draw):
+    """argv for one subcommand on a shipped scenario, with random overrides.
+
+    ``certify`` runs without ``--verify``: the certificate, not t_max, sets
+    how long that run is.
+    """
+    command = draw(st.sampled_from(["run", "sweep", "certify", "compare"]))
+    argv = [command, "--scenario", _shipped(draw(st.sampled_from(SHIPPED)))]
+    if command != "certify" and draw(st.booleans()):
+        argv.append("--figure")
+    if command == "sweep":
+        argv += ["--gains", draw(_GAINS)]
+    if command in ("certify", "compare") and draw(st.booleans()):
+        argv += ["--r0", draw(_CLI_VALUES)]
+    keys = st.sampled_from(sorted(KNOWN_KEYS - {"t_max"}))
+    for key, value in draw(st.dictionaries(keys, _CLI_VALUES, max_size=3)).items():
+        argv += ["--set", f"{key}={value}"]
+    return argv + ["--set", "t_max=" + draw(st.sampled_from(["0", "0.2", "0.5"]))]
+
+
+@example(argv=OVERFLOWS[0][0])
+@example(argv=OVERFLOWS[1][0])
+@example(argv=OVERFLOWS[3][0])
+@given(argv=_commands())
+@settings(max_examples=300, deadline=None)
+def test_any_command_line_ends_with_a_documented_exit_code(argv):
+    with tempfile.TemporaryDirectory() as out:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--out", out])
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO}, err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -4,25 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcpursuit.dynamics import (
-    EngagementState,
-    ParticleState,
-    SystemParams,
-    derivatives,
-    frame_of,
-    rk4_step_scalars,
-    step,
-)
-from mcpursuit.errors import NonFiniteState
+from mcpursuit.dynamics import ParticleState, rk4_step_scalars
 from mcpursuit.geometry import PlanarVector
-
-
-def _state(px, py, pth, ex, ey, eth, t=0.0):
-    return EngagementState(
-        pursuer=ParticleState(PlanarVector(px, py), pth),
-        evader=ParticleState(PlanarVector(ex, ey), eth),
-        time=t,
-    )
+from mcpursuit.guidance import MCPG
+from mcpursuit.scenario_io import build_scenario
+from mcpursuit.simulation import simulate
 
 
 def _zero_pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
@@ -31,30 +17,6 @@ def _zero_pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
 
 def _zero_evader(t):
     return 0.0
-
-
-def test_frame_at_zero_heading_is_the_standard_basis():
-    tangent, normal = frame_of(ParticleState(PlanarVector(0.0, 0.0), 0.0))
-    assert tangent == PlanarVector(1.0, 0.0)
-    assert normal == PlanarVector(0.0, 1.0)
-
-
-def test_frame_rotates_with_heading():
-    tangent, normal = frame_of(ParticleState(PlanarVector(1.0, 1.0), math.pi / 2))
-    assert tangent.x == pytest.approx(0.0, abs=1e-15)
-    assert tangent.y == pytest.approx(1.0, abs=1e-15)
-    assert normal.x == pytest.approx(-1.0, abs=1e-15)
-    assert normal.y == pytest.approx(0.0, abs=1e-15)
-
-
-def test_derivatives_follow_the_curvature_model():
-    s = _state(0.0, 0.0, 0.0, 1.0, 0.0, math.pi / 2)
-    rate = derivatives(s, u_p=2.0, u_e=3.0, nu=0.5)
-    assert rate.pursuer_velocity == PlanarVector(1.0, 0.0)
-    assert rate.pursuer_heading_rate == 2.0
-    assert rate.evader_velocity.x == pytest.approx(0.0, abs=1e-16)
-    assert rate.evader_velocity.y == pytest.approx(0.5, abs=1e-16)
-    assert rate.evader_heading_rate == 1.5
 
 
 def test_straight_motion_advances_by_exactly_h():
@@ -130,8 +92,15 @@ def test_halving_the_step_cuts_the_arc_error_about_sixteenfold():
 
 
 def test_step_matches_the_scalar_kernel_bitwise():
-    s = _state(3.0, -1.0, 0.7, 0.0, 0.5, -0.2, t=2.0)
-    params = SystemParams(nu=0.8, step_size=0.01)
+    # simulate's first step under a state-level pursuer override.
+    config = build_scenario(
+        nu=0.8,
+        pursuer_init=ParticleState(PlanarVector(3.0, -1.0), 0.7),
+        evader_init=ParticleState(PlanarVector(0.0, 0.5), -0.2),
+        pursuer_law=MCPG(1.0),
+        step_size=0.01,
+        t_max=0.01,
+    )
 
     def pursuer_state(state, ue):
         return 0.3 * state.pursuer.heading - 0.1 * ue
@@ -139,19 +108,16 @@ def test_step_matches_the_scalar_kernel_bitwise():
     def evader(t):
         return 0.05 * t
 
-    after = step(s, pursuer_state, evader, params)
+    after = simulate(config, pursuer_control=pursuer_state, evader_control=evader)
 
     def pursuer_scalar(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
         return 0.3 * pth - 0.1 * ue
 
-    expected = rk4_step_scalars(2.0, 3.0, -1.0, 0.7, 0.0, 0.5, -0.2, 0.01, 0.8,
+    expected = rk4_step_scalars(0.0, 3.0, -1.0, 0.7, 0.0, 0.5, -0.2, 0.01, 0.8,
                                 pursuer_scalar, evader)
-    got = (
-        after.pursuer.position.x, after.pursuer.position.y, after.pursuer.heading,
-        after.evader.position.x, after.evader.position.y, after.evader.heading,
-    )
+    got = (after.px[1], after.py[1], after.ptheta[1], after.ex[1], after.ey[1], after.etheta[1])
     assert got == expected
-    assert after.time == 2.01
+    assert after.t[1] == 0.01
 
 
 def _handoff_pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
@@ -216,18 +182,10 @@ def test_long_integration_keeps_heading_consistent_with_motion():
 
 
 def test_non_finite_control_raises_through_step():
-    s = _state(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-    params = SystemParams(nu=0.5, step_size=0.1)
-    with pytest.raises(NonFiniteState):
-        step(s, lambda state, ue: math.inf, _zero_evader, params)
+    # An infinite heading rate reaches the stage-2 trig as an infinite angle.
+    def infinite_pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
+        return math.inf
 
-
-def test_system_params_validation():
     with pytest.raises(ValueError):
-        SystemParams(nu=1.0, step_size=0.1)
-    with pytest.raises(ValueError):
-        SystemParams(nu=-0.1, step_size=0.1)
-    with pytest.raises(ValueError):
-        SystemParams(nu=0.5, step_size=0.0)
-    with pytest.raises(ValueError):
-        SystemParams(nu=0.5, step_size=0.1, capture_radius=0.0)
+        rk4_step_scalars(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1, 0.5,
+                         infinite_pursuer, _zero_evader)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_args
 from mcpursuit.dynamics import EngagementState, ParticleState
 from mcpursuit.errors import ZeroBaseline
 from mcpursuit.geometry import PlanarVector
@@ -19,16 +20,13 @@ from mcpursuit.guidance import (
     Zero,
     _GAMMA,
     _MASK64,
+    _exact_u,
+    _mcpg_u,
+    _ppng_u,
     _splitmix64,
-    evader_control,
-    exact_control,
-    mcpg_control,
-    ppng_control,
-    pursuer_control,
     random_level,
     scalar_evader_control,
     scalar_pursuer_control,
-    stability_gain,
     stability_step_cap,
 )
 
@@ -42,6 +40,16 @@ def _state(px, py, pth, ex, ey, eth, t=0.0):
         evader=ParticleState(PlanarVector(ex, ey), eth),
         time=t,
     )
+
+
+def _u_p(law, s, nu, ue=0.0):
+    """The law's closure evaluated at state s."""
+    return scalar_pursuer_control(law, nu)(*scalar_args(s, ue))
+
+
+def _u_e(program, t):
+    """A fresh closure of the program evaluated at t."""
+    return scalar_evader_control(program)(t)
 
 
 states = st.builds(
@@ -59,28 +67,28 @@ def test_mcpg_turns_toward_cancelling_transverse_motion():
     # Baseline along +x with unit length, relative velocity along +y: the
     # transverse speed is +1, so the command is exactly mu.
     s = _state(1.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0)
-    assert mcpg_control(s, mu=2.0, nu=0.0) == 2.0
+    assert _u_p(MCPG(2.0), s, nu=0.0) == 2.0
 
 
 def test_mcpg_sign_flips_with_transverse_direction():
     s = _state(1.0, 0.0, -math.pi / 2, 0.0, 0.0, 0.0)
-    assert mcpg_control(s, mu=2.0, nu=0.0) == -2.0
+    assert _u_p(MCPG(2.0), s, nu=0.0) == -2.0
 
 
 def test_laws_reject_zero_baseline():
     s = _state(1.0, 1.0, 0.3, 1.0, 1.0, 0.1)
     with pytest.raises(ZeroBaseline):
-        mcpg_control(s, mu=1.0, nu=0.5)
+        _u_p(MCPG(1.0), s, nu=0.5)
     with pytest.raises(ZeroBaseline):
-        ppng_control(s, n_gain=1.0, nu=0.5)
+        _u_p(PPNG(1.0), s, nu=0.5)
     with pytest.raises(ZeroBaseline):
-        exact_control(s, mu=1.0, nu=0.5, u_e_now=0.0)
+        _u_p(Exact(1.0), s, nu=0.5, ue=0.0)
 
 
 @given(states, st.floats(min_value=0.01, max_value=50.0),
        st.floats(min_value=0.0, max_value=0.95))
 def test_exact_law_reduces_to_mcpg_for_straight_evaders(s, mu, nu):
-    assert exact_control(s, mu, nu, 0.0) == mcpg_control(s, mu, nu)
+    assert _u_p(Exact(mu), s, nu, 0.0) == _u_p(MCPG(mu), s, nu)
 
 
 @given(states, st.floats(min_value=0.01, max_value=50.0),
@@ -89,7 +97,7 @@ def test_exact_law_reduces_to_mcpg_for_straight_evaders(s, mu, nu):
 def test_exact_feedforward_is_bounded_by_nu_squared_ue(s, mu, nu, ue):
     # The heading-alignment coefficient has modulus at most one, so the
     # correction can never exceed nu^2 * |u_e|.
-    diff = exact_control(s, mu, nu, ue) - mcpg_control(s, mu, nu)
+    diff = _u_p(Exact(mu), s, nu, ue) - _u_p(MCPG(mu), s, nu)
     assert abs(diff) <= nu * nu * abs(ue) * (1.0 + 1e-9) + 1e-15
 
 
@@ -100,8 +108,8 @@ def test_mcpg_is_ppng_with_range_scheduled_gain(s, mu, nu):
         s.pursuer.position.x - s.evader.position.x,
         s.pursuer.position.y - s.evader.position.y,
     )
-    a = mcpg_control(s, mu, nu)
-    b = ppng_control(s, mu * rn, nu)
+    a = _u_p(MCPG(mu), s, nu)
+    b = _u_p(PPNG(mu * rn), s, nu)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -127,10 +135,10 @@ def test_program_parameter_validation():
 
 
 def test_program_values_and_bounds():
-    assert evader_control(Zero(), 3.7) == 0.0
-    assert evader_control(Constant(-0.4), 100.0) == -0.4
+    assert _u_e(Zero(), 3.7) == 0.0
+    assert _u_e(Constant(-0.4), 100.0) == -0.4
     sine = Sinusoid(amplitude=0.3, angular_freq=2.0, phase=0.5)
-    assert evader_control(sine, 1.25) == 0.3 * math.sin(2.0 * 1.25 + 0.5)
+    assert _u_e(sine, 1.25) == 0.3 * math.sin(2.0 * 1.25 + 0.5)
     assert Zero().max_abs_control() == 0.0
     assert Constant(-0.4).max_abs_control() == 0.4
     assert sine.max_abs_control() == 0.3
@@ -170,7 +178,7 @@ def test_piecewise_random_holds_first_level_before_first_midpoint():
     prog = PiecewiseRandom(seed=11, dwell=0.5, u_max=0.3)
     first = random_level(11, 0, 0.3)
     for t in (0.0, 0.1, 0.2, 0.25):
-        assert evader_control(prog, t) == first
+        assert _u_e(prog, t) == first
 
 
 def test_piecewise_random_interpolates_between_midpoints():
@@ -179,9 +187,9 @@ def test_piecewise_random_interpolates_between_midpoints():
     v1 = random_level(11, 1, 0.3)
     # Midpoints sit at t = (k + 0.5) * dwell; halfway between them the value
     # is the average of the two levels.
-    assert evader_control(prog, 0.25) == v0
-    assert evader_control(prog, 0.75) == v1
-    assert evader_control(prog, 0.5) == pytest.approx(0.5 * (v0 + v1), rel=1e-15)
+    assert _u_e(prog, 0.25) == v0
+    assert _u_e(prog, 0.75) == v1
+    assert _u_e(prog, 0.5) == pytest.approx(0.5 * (v0 + v1), rel=1e-15)
 
 
 @given(st.floats(min_value=0.0, max_value=500.0), st.floats(min_value=0.0, max_value=500.0))
@@ -189,10 +197,27 @@ def test_piecewise_random_interpolates_between_midpoints():
 def test_piecewise_random_is_continuous(t, dt_scale):
     prog = PiecewiseRandom(seed=5, dwell=1.3, u_max=0.6)
     eps = 1e-9
-    a = evader_control(prog, t)
-    b = evader_control(prog, t + eps)
+    a = _u_e(prog, t)
+    b = _u_e(prog, t + eps)
     # Slope is bounded by 2*u_max/dwell, so nearby times give nearby values.
     assert abs(a - b) <= 2.0 * 0.6 / 1.3 * eps * 1.01 + 1e-15
+
+
+def _reference_u_e(program, t):
+    """u_e(t) written out from each program's definition, as a pure function of t."""
+    if isinstance(program, Zero):
+        return 0.0
+    if isinstance(program, Constant):
+        return program.c
+    if isinstance(program, Sinusoid):
+        return program.amplitude * math.sin(program.angular_freq * t + program.phase)
+    m = t / program.dwell - 0.5
+    k = math.floor(m)
+    if k < 0:
+        return random_level(program.seed, 0, program.u_max)
+    v0 = random_level(program.seed, k, program.u_max)
+    v1 = random_level(program.seed, k + 1, program.u_max)
+    return v0 + (m - k) * (v1 - v0)
 
 
 @given(st.floats(min_value=0.0, max_value=200.0))
@@ -203,18 +228,22 @@ def test_scalar_evader_closure_matches_pure_function(t):
         Sinusoid(amplitude=0.2, angular_freq=0.7, phase=1.0),
         PiecewiseRandom(seed=99, dwell=0.8, u_max=0.4),
     ):
-        assert scalar_evader_control(prog)(t) == evader_control(prog, t)
+        assert _u_e(prog, t) == _reference_u_e(prog, t)
+        # A closure that has moved to other intervals gives the same values.
+        closure = scalar_evader_control(prog)
+        for u in (t + 7.0, 0.0, t):
+            assert closure(u) == _reference_u_e(prog, u)
 
 
 def test_piecewise_random_is_identical_across_processes():
     prog = PiecewiseRandom(seed=123456789, dwell=0.75, u_max=0.5)
     times = [0.0, 0.3, 1.7, 12.125, 400.5]
-    local = [repr(evader_control(prog, t)) for t in times]
+    local = [repr(_u_e(prog, t)) for t in times]
     code = (
-        "from mcpursuit.guidance import PiecewiseRandom, evader_control\n"
+        "from mcpursuit.guidance import PiecewiseRandom, scalar_evader_control\n"
         "prog = PiecewiseRandom(seed=123456789, dwell=0.75, u_max=0.5)\n"
         "for t in [0.0, 0.3, 1.7, 12.125, 400.5]:\n"
-        "    print(repr(evader_control(prog, t)))\n"
+        "    print(repr(scalar_evader_control(prog)(t)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -224,24 +253,21 @@ def test_piecewise_random_is_identical_across_processes():
 
 @given(states, st.floats(min_value=0.05, max_value=0.95))
 def test_scalar_adapters_agree_with_state_level_controls(s, nu):
-    cp = math.cos(s.pursuer.heading)
-    sp = math.sin(s.pursuer.heading)
-    ce = math.cos(s.evader.heading)
-    se = math.sin(s.evader.heading)
-    args = (
-        s.time,
-        s.pursuer.position.x, s.pursuer.position.y, s.pursuer.heading, cp, sp,
-        s.evader.position.x, s.evader.position.y, s.evader.heading, ce, se,
-    )
-    for law in (MCPG(3.0), Exact(3.0), PPNG(4.0)):
-        fast = scalar_pursuer_control(law, nu)
-        slow = pursuer_control(law, nu)
-        assert fast(*args, 0.25) == slow(s, 0.25)
+    args = scalar_args(s, 0.25)
+    _, px, py, _, cp, sp, ex, ey, _, ce, se, ue = args
+    rx, ry, drx, dry = px - ex, py - ey, cp - nu * ce, sp - nu * se
+    kernels = {
+        MCPG(3.0): _mcpg_u(rx, ry, drx, dry, 3.0),
+        Exact(3.0): _exact_u(rx, ry, drx, dry, cp * ce + sp * se, nu, 3.0, ue),
+        PPNG(4.0): _ppng_u(rx, ry, drx, dry, 4.0),
+    }
+    for law, want in kernels.items():
+        assert scalar_pursuer_control(law, nu)(*args) == want
 
 
 def test_stability_cap_values():
-    assert stability_gain(MCPG(20.0), 0.05) == 20.0
-    assert stability_gain(Exact(20.0), 0.05) == 20.0
-    assert stability_gain(PPNG(2.0), 0.05) == 40.0
+    assert MCPG(20.0).stability_gain(0.05) == 20.0
+    assert Exact(20.0).stability_gain(0.05) == 20.0
+    assert PPNG(2.0).stability_gain(0.05) == 40.0
     assert stability_step_cap(MCPG(20.0), 0.9, 0.05) == 0.1 / (20.0 * 1.9)
     assert stability_step_cap(PPNG(2.0), 0.9, 0.05) == 0.1 / (40.0 * 1.9)

@@ -18,7 +18,7 @@ from mcpursuit.metrics import (
     gamma_envelope,
     metric_values,
 )
-from mcpursuit.scenario_io import TrajectoryRecord, build_scenario, initial_state, with_law
+from mcpursuit.scenario_io import TrajectoryRecord, build_scenario, initial_state
 from mcpursuit.simulation import simulate
 
 
@@ -237,7 +237,7 @@ def test_check_envelope_rejects_mismatched_runs():
     with pytest.raises(CertificateMismatch):
         check_envelope(record, dataclasses.replace(cert, gamma0=cert.gamma0 + 0.1))
     ppng_record = dataclasses.replace(
-        record, scenario=with_law(record.scenario, PPNG(5.0))
+        record, scenario=dataclasses.replace(record.scenario, pursuer_law=PPNG(5.0))
     )
     with pytest.raises(CertificateMismatch):
         check_envelope(ppng_record, cert)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 from array import array
 
@@ -23,6 +24,8 @@ from mcpursuit.guidance import (
     PiecewiseRandom,
     Sinusoid,
     Zero,
+    gain,
+    scaled,
     stability_step_cap,
 )
 from mcpursuit.scenario_io import (
@@ -34,14 +37,11 @@ from mcpursuit.scenario_io import (
     build_scenario,
     emit_figure_svg,
     emit_overlay_svg,
-    initial_range,
     parse_scenario,
     parse_scenario_with_overrides,
     read_trajectory_csv,
-    scaled_law,
     summary_dict,
     validate_scenario,
-    with_law,
     write_scenario,
     write_summary_json,
     write_trajectory_csv,
@@ -302,7 +302,7 @@ def test_list_and_array_backed_records_write_identical_bytes():
         lists, **{name: array("d", getattr(lists, name)) for name in CSV_COLUMNS}
     )
     for write in (write_trajectory_csv, emit_figure_svg,
-                  lambda rec, sink: emit_overlay_svg([rec, _small_record()], ["a", "b"], sink)):
+                  lambda rec, sink: emit_overlay_svg([rec, _small_record()], sink)):
         outputs = []
         for record in (lists, packed):
             sink = io.StringIO()
@@ -382,10 +382,25 @@ def test_single_sample_figure_uses_markers():
     assert tags.count("circle") == 2
 
 
+def test_figures_of_an_empty_record_are_well_formed():
+    # A run whose first sample is non-finite records nothing.
+    empty = TrajectoryRecord(scenario=_small_record().scenario, termination="non_finite")
+    for write in (emit_figure_svg, lambda rec, sink: emit_overlay_svg([rec, rec], sink)):
+        sink = io.StringIO()
+        write(empty, sink)
+        root = _parse_svg(sink.getvalue())
+        assert all(child.get("points") == "" for child in root)
+    # Beside a record with samples, the overlay fits that record alone.
+    alone, beside = io.StringIO(), io.StringIO()
+    emit_overlay_svg([_small_record()], alone)
+    emit_overlay_svg([_small_record(), empty], beside)
+    assert _parse_svg(beside.getvalue()).get("viewBox") == _parse_svg(alone.getvalue()).get("viewBox")
+
+
 def test_overlay_svg_draws_one_pursuer_path_per_record():
     records = [_small_record(), _small_record(), _small_record()]
     sink = io.StringIO()
-    emit_overlay_svg(records, ["a", "b", "c"], sink)
+    emit_overlay_svg(records, sink)
     root = _parse_svg(sink.getvalue())
     tags = [child.tag.split("}")[-1] for child in root]
     # Three pursuer paths plus the shared evader path.
@@ -393,18 +408,14 @@ def test_overlay_svg_draws_one_pursuer_path_per_record():
 
 
 def test_scaled_law_multiplies_the_gain():
-    assert scaled_law(MCPG(3.0), 2.0) == MCPG(6.0)
-    assert scaled_law(Exact(1.5), 3.0) == Exact(4.5)
-    assert scaled_law(PPNG(4.0), 0.5) == PPNG(2.0)
-
-
-def test_with_law_swaps_only_the_law():
-    config = ROUND_TRIP_CONFIGS[0]
-    swapped = with_law(config, PPNG(9.0))
-    assert swapped.pursuer_law == PPNG(9.0)
-    assert swapped.nu == config.nu
-    assert swapped.evader_program == config.evader_program
-    assert initial_range(swapped) == initial_range(config)
+    assert scaled(MCPG(3.0), 2.0) == MCPG(6.0)
+    assert scaled(Exact(1.5), 3.0) == Exact(4.5)
+    assert scaled(PPNG(4.0), 0.5) == PPNG(2.0)
+    assert [gain(law) for law in (MCPG(3.0), Exact(1.5), PPNG(4.0))] == [3.0, 1.5, 4.0]
+    # A product that is no valid gain names the multiplier.
+    for bad in (1e308, 0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match=re.escape(f"gain multiplier {bad!r}:")):
+            scaled(MCPG(4.0), bad)
 
 
 SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")

@@ -9,6 +9,7 @@ from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import InitialCollision, ValidationError
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import MCPG, Constant, Sinusoid, Zero
+from mcpursuit.metrics import compute_metrics
 from mcpursuit.scenario_io import (
     CSV_COLUMNS,
     RECORD_CHUNK,
@@ -147,7 +148,7 @@ def test_metric_columns_match_recomputation():
     config = _scenario(t_max=0.5, evader_program=Constant(0.4))
     record = simulate(config)
     for i in range(record.n_samples):
-        m = record.metric_at(i)
+        m = compute_metrics(record.state_at(i), config.nu)
         assert record.gamma[i] == m.gamma
         assert record.w[i] == m.w_signed
         assert record.r_norm[i] == m.baseline_len
