@@ -16,7 +16,6 @@ from .errors import (
     InvalidGeometry,
     InvalidSpeedRatio,
     McpursuitError,
-    NonFiniteState,
     ParseError,
     ValidationError,
     ZeroBaseline,
@@ -81,7 +80,6 @@ __all__ = [
     "MCPG",
     "McpursuitError",
     "MetricSample",
-    "NonFiniteState",
     "PPNG",
     "ParseError",
     "ParticleState",

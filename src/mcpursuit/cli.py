@@ -21,7 +21,6 @@ from .errors import (
     InitialCollision,
     InvalidGeometry,
     InvalidSpeedRatio,
-    NonFiniteState,
     ParseError,
     ValidationError,
     ZeroBaseline,
@@ -376,9 +375,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"mcpursuit: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NonFiniteState as exc:
-        print(f"mcpursuit: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"mcpursuit: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -3,38 +3,46 @@
 Both vehicles are planar particles steered by curvature: the pursuer moves at
 unit speed with heading rate u_p, the evader at speed nu (0 <= nu < 1) with
 heading rate nu * u_e, so u_e is the evader's path curvature. Headings are in
-radians, unwrapped and unbounded.
+radians, unwrapped and unbounded. Controls are re-evaluated at every RK4 stage
+with the stage's state and time; the update x + h*((k1 + 2*(k2+k3) + k4)/6)
+advances a coordinate by exactly h under a constant unit rate.
 
-Controls are re-evaluated at every RK4 stage with the stage's intermediate
-state and stage time. The step update is written as x + h*((k1 + 2*(k2+k3) +
-k4)/6) so a constant unit rate advances a coordinate by exactly h.
-
-Scalar control convention (used by the integration loop and by the law
-closures in guidance): the pursuer callable receives
+Scalar control convention: the pursuer callable receives
 
     (t, px, py, pth, cp, sp, ex, ey, eth, ce, se, u_e_now)
 
 where (cp, sp) and (ce, se) are the cos/sin of the two headings, already
 computed for the stage; the evader callable receives the stage time only.
 
-Stage-1 handoff: a caller that has already evaluated both controls at the
-start of a step (the simulation loop does, to record them at a sample) passes
-them to :func:`rk4_step_scalars` as its two trailing optional arguments, and
-stage 1 then calls neither control again. The values come from the same
-inputs through the same arithmetic, so the step is bitwise identical to one
-that evaluates them itself.
+The RK4 step is written once, as the source text ``_STEP``. Its four stage
+slots take one control text, written in the convention's plain names and
+renamed to each stage's values (cp2, px2, a2, ...). Its instances:
+
+* rk4_step_scalars, one step calling the controls it is given, compiled at
+  import. A caller that already evaluated both controls at the start of the
+  step (simulate does, to record them at a sample) passes them as the two
+  trailing arguments, and stage 1 calls neither again: bitwise the same step.
+* rk4_loop(law_class), ``n`` steps with the law's kernel inline at each stage;
+  only the evader stays a call. Compiled on first use, cached per class.
+
+law_control(law_class) compiles the law's closure from the same kernel text,
+so ``n`` steps of a loop are bitwise ``n`` rk4_step_scalars calls with the
+closure. A kernel is an expression in rx, ry (pursuer minus evader), drx, dry
+(its rate), rsq = rx*rx + ry*ry, the stage's cp, sp, ce, se and ue, nu, sqrt
+and the law's fields; a zero baseline raises ZeroBaseline before it.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+import re
+from dataclasses import dataclass, fields
+from typing import Callable
 
+from .errors import ZeroBaseline
 from .geometry import PlanarVector
-
-_cos = math.cos
-_sin = math.sin
 
 
 @dataclass(frozen=True)
@@ -54,95 +62,141 @@ class EngagementState:
     time: float
 
 
-def rk4_step_scalars(
-    t: float,
-    px: float,
-    py: float,
-    pth: float,
-    ex: float,
-    ey: float,
-    eth: float,
-    h: float,
-    nu: float,
-    pursuer: Callable[..., float],
-    evader: Callable[[float], float],
-    ue1: Optional[float] = None,
-    a1: Optional[float] = None,
-) -> Tuple[float, float, float, float, float, float]:
-    """One classical RK4 step on the six scalar state components.
+# One RK4 step from (t, px, py, pth, ex, ey, eth) to the state at t + h in the
+# same names. The control text in slot {stageK} sets aK; bK = nu * u_e.
+_STEP = """\
+cp1 = cos(pth); sp1 = sin(pth); ce1 = cos(eth); se1 = sin(eth)  # stage 1 at t
+vce1 = nu * ce1; vse1 = nu * se1
+{stage1}
+b1 = nu * ue1
+t2 = t + half  # stage 2 at t + h/2
+pth2 = pth + half * a1; eth2 = eth + half * b1
+cp2 = cos(pth2); sp2 = sin(pth2); ce2 = cos(eth2); se2 = sin(eth2)
+vce2 = nu * ce2; vse2 = nu * se2
+px2 = px + half * cp1; py2 = py + half * sp1
+ex2 = ex + half * vce1; ey2 = ey + half * vse1
+ue2 = evader(t2)
+{stage2}
+b2 = nu * ue2
+pth3 = pth + half * a2; eth3 = eth + half * b2  # stage 3, also at t + h/2
+cp3 = cos(pth3); sp3 = sin(pth3); ce3 = cos(eth3); se3 = sin(eth3)
+vce3 = nu * ce3; vse3 = nu * se3
+px3 = px + half * cp2; py3 = py + half * sp2
+ex3 = ex + half * vce2; ey3 = ey + half * vse2
+{stage3}
+b3 = b2  # u_e is a function of time alone, so stage 3 reuses stage 2's
+t4 = t + h  # stage 4 at t + h
+pth4 = pth + h * a3; eth4 = eth + h * b3
+cp4 = cos(pth4); sp4 = sin(pth4); ce4 = cos(eth4); se4 = sin(eth4)
+vce4 = nu * ce4; vse4 = nu * se4
+px4 = px + h * cp3; py4 = py + h * sp3
+ex4 = ex + h * vce3; ey4 = ey + h * vse3
+ue4 = evader(t4)
+{stage4}
+b4 = nu * ue4
+px = px + h * ((cp1 + 2.0 * (cp2 + cp3) + cp4) / 6.0)
+py = py + h * ((sp1 + 2.0 * (sp2 + sp3) + sp4) / 6.0)
+pth = pth + h * ((a1 + 2.0 * (a2 + a3) + a4) / 6.0)
+ex = ex + h * (nu * ((ce1 + 2.0 * (ce2 + ce3) + ce4) / 6.0))
+ey = ey + h * (nu * ((se1 + 2.0 * (se2 + se3) + se4) / 6.0))
+eth = eth + h * ((b1 + 2.0 * (b2 + b3) + b4) / 6.0)
+"""
 
-    The simulation loop's step; the callables follow the scalar control
-    convention in the module docstring.
-    ``ue1`` and ``a1`` are the stage-1 evader and pursuer controls at
-    (t, state), if the caller already has them; pass both or neither.
-    Returns the state at t + h. Raises nothing of its own; trig of an infinite
-    heading surfaces as ValueError, which simulate turns into a non_finite end.
-    """
-    half = 0.5 * h
+# Stage k's names for the time, the state and u_e; trig values and a get suffix k.
+_STAGES = ((1, "t", "", "ue1"), (2, "t2", "2", "ue2"), (3, "t2", "3", "ue2"), (4, "t4", "4", "ue4"))
 
-    # stage 1 at t
-    cp1 = _cos(pth)
-    sp1 = _sin(pth)
-    ce1 = _cos(eth)
-    se1 = _sin(eth)
-    if a1 is None:
-        ue1 = evader(t)
-        a1 = pursuer(t, px, py, pth, cp1, sp1, ex, ey, eth, ce1, se1, ue1)
-    b1 = nu * ue1
+# The law text in the convention's names: the relative state, the zero-baseline
+# rule, then the kernel (appended) sets a. vce, vse are nu*ce, nu*se.
+_LAW = """\
+rx = px - ex
+ry = py - ey
+drx = cp - vce
+dry = sp - vse
+rsq = rx * rx + ry * ry
+if rsq == 0.0:
+    raise ZeroBaseline("pursuit law undefined at zero baseline")
+a = """
 
-    # stage 2 at t + h/2
-    t2 = t + half
-    pth2 = pth + half * a1
-    eth2 = eth + half * b1
-    cp2 = _cos(pth2)
-    sp2 = _sin(pth2)
-    ce2 = _cos(eth2)
-    se2 = _sin(eth2)
-    px2 = px + half * cp1
-    py2 = py + half * sp1
-    ex2 = ex + half * (nu * ce1)
-    ey2 = ey + half * (nu * se1)
-    ue2 = evader(t2)
-    a2 = pursuer(t2, px2, py2, pth2, cp2, sp2, ex2, ey2, eth2, ce2, se2, ue2)
-    b2 = nu * ue2
 
-    # stage 3, also at t + h/2 (the evader control is a pure function of time,
-    # so its stage-2 value is reused)
-    pth3 = pth + half * a2
-    eth3 = eth + half * b2
-    cp3 = _cos(pth3)
-    sp3 = _sin(pth3)
-    ce3 = _cos(eth3)
-    se3 = _sin(eth3)
-    px3 = px + half * cp2
-    py3 = py + half * sp2
-    ex3 = ex + half * (nu * ce2)
-    ey3 = ey + half * (nu * se2)
-    a3 = pursuer(t2, px3, py3, pth3, cp3, sp3, ex3, ey3, eth3, ce3, se3, ue2)
-    b3 = b2
+def _stage(text: str, k: int, t: str, state: str, ue: str) -> str:
+    names = {"t": t, "ue": ue}
+    names.update((n, n + state) for n in ("px", "py", "pth", "ex", "ey", "eth"))
+    names.update((n, f"{n}{k}") for n in ("cp", "sp", "ce", "se", "vce", "vse", "a"))
+    return re.sub(r"[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), text)
 
-    # stage 4 at t + h
-    t4 = t + h
-    pth4 = pth + h * a3
-    eth4 = eth + h * b3
-    cp4 = _cos(pth4)
-    sp4 = _sin(pth4)
-    ce4 = _cos(eth4)
-    se4 = _sin(eth4)
-    px4 = px + h * cp3
-    py4 = py + h * sp3
-    ex4 = ex + h * (nu * ce3)
-    ey4 = ey + h * (nu * se3)
-    ue4 = evader(t4)
-    a4 = pursuer(t4, px4, py4, pth4, cp4, sp4, ex4, ey4, eth4, ce4, se4, ue4)
-    b4 = nu * ue4
 
-    return (
-        px + h * ((cp1 + 2.0 * (cp2 + cp3) + cp4) / 6.0),
-        py + h * ((sp1 + 2.0 * (sp2 + sp3) + sp4) / 6.0),
-        pth + h * ((a1 + 2.0 * (a2 + a3) + a4) / 6.0),
-        ex + h * (nu * ((ce1 + 2.0 * (ce2 + ce3) + ce4) / 6.0)),
-        ey + h * (nu * ((se1 + 2.0 * (se2 + se3) + se4) / 6.0)),
-        eth + h * ((b1 + 2.0 * (b2 + b3) + b4) / 6.0),
+def _step_body(first: str, control: str, indent: str) -> str:
+    """``_STEP`` with ``first`` in stage 1's slot and ``control`` in the others."""
+    slots = {f"stage{k}": _stage(first if k == 1 else control, k, *names).rstrip()
+             for k, *names in _STAGES}
+    return _indent(_STEP.format(**slots), indent)
+
+
+def _indent(text: str, prefix: str) -> str:
+    return re.sub(r"(?m)^(?=.)", prefix, text)
+
+
+def _compile(source: str, filename: str, name: str) -> Callable:
+    namespace = dict(__name__=__name__, cos=math.cos, sin=math.sin, sqrt=math.sqrt,
+                     ZeroBaseline=ZeroBaseline)
+    exec(compile(source, filename, "exec"), namespace)
+    # Tracebacks and inspect show the generated lines.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace[name]
+
+
+def _law_text(law_class: type) -> tuple:
+    gains = "".join(f"    {f.name} = law.{f.name}\n" for f in fields(law_class))
+    return gains, _LAW + law_class.kernel + "\n"
+
+
+_CALL = "a = pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue)\n"
+rk4_step_scalars = _compile(
+    "def rk4_step_scalars(t, px, py, pth, ex, ey, eth, h, nu, pursuer, evader, ue1=None, a1=None):\n"
+    "    half = 0.5 * h\n"
+    + _step_body("if a is None:\n    ue = evader(t)\n    " + _CALL, _CALL, "    ")
+    + "    return px, py, pth, ex, ey, eth\n",
+    "<rk4 step>",
+    "rk4_step_scalars",
+)
+rk4_step_scalars.__doc__ = """One classical RK4 step; returns the state at t + h.
+
+    ``ue1`` and ``a1`` are the stage-1 controls, if the caller has them (both
+    or neither). Trig of an infinite heading raises ValueError, which simulate
+    turns into a non_finite end."""
+
+
+@functools.lru_cache(maxsize=None)
+def rk4_loop(law_class: type) -> Callable:
+    """``loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader)`` runs steps k to
+    k + n - 1 (step j starts at t = j*h) under ``law`` and returns the state after them."""
+    gains, law = _law_text(law_class)
+    return _compile(
+        "def rk4_loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader,\n"
+        "             cos=cos, sin=sin, sqrt=sqrt):\n"
+        + gains
+        + "    half = 0.5 * h\n"
+        "    for k in range(k, k + n):\n"
+        "        t = k * h\n"
+        + _step_body("ue = evader(t)\n" + law, law, "        ")
+        + "    return px, py, pth, ex, ey, eth\n",
+        f"<rk4 {law_class.variant}>",
+        "rk4_loop",
     )
 
+
+@functools.lru_cache(maxsize=None)
+def law_control(law_class: type) -> Callable:
+    """``make(law, nu)``: the law's closure in the scalar control convention."""
+    gains, law = _law_text(law_class)
+    return _compile(
+        "def make(law, nu):\n"
+        + gains
+        + "    def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):\n"
+        "        vce = nu * ce; vse = nu * se\n"
+        + _indent(law, "        ")
+        + "        return a\n"
+        "    return control\n",
+        f"<control {law_class.variant}>",
+        "make",
+    )

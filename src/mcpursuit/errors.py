@@ -21,10 +21,6 @@ class InitialCollision(McpursuitError):
     """A simulation was started with coincident pursuer and evader positions."""
 
 
-class NonFiniteState(McpursuitError):
-    """A state component became NaN or infinite during integration."""
-
-
 class ValidationError(McpursuitError):
     """A scenario or parameter set violates a documented invariant."""
 

@@ -181,23 +181,14 @@ def design_certificate(
     InvalidSpeedRatio, DegenerateStart, InvalidGeometry
         For nu outside [0, 1), gamma0 = 1, or an r0/r_init mismatch.
     """
-    if not 0.0 <= nu < 1.0:
-        raise InvalidSpeedRatio(f"nu out of [0, 1): {nu}")
-    if not (math.isfinite(u_e_max) and u_e_max >= 0.0):
-        raise ValueError(f"u_e_max must be finite and nonnegative: {u_e_max}")
-    if not 0.0 < epsilon_target < 1.0:
-        raise ValueError(f"epsilon_target out of (0, 1): {epsilon_target}")
-    if not -1.0 <= gamma0 <= 1.0:
-        raise ValueError(f"gamma0 out of [-1, 1]: {gamma0}")
-    if gamma0 == 1.0:
-        raise DegenerateStart("gamma0 = 1: relative velocity initially along +r")
+    # The two helpers check nu, u_e_max, epsilon_target and gamma0, in that order.
+    c1 = compute_c1(nu, u_e_max)
+    eps = choose_epsilon(epsilon_target, gamma0)
     if not (math.isfinite(r_init) and r_init > 0.0):
         raise InvalidGeometry(f"r_init must be finite and positive: {r_init}")
     r0 = r_init / 100.0 if r0_choice is None else r0_choice
     if not (0.0 < r0 < r_init):
         raise InvalidGeometry(f"need 0 < r0 < r_init, got r0={r0}, r_init={r_init}")
-
-    c1 = compute_c1(nu, u_e_max)
 
     if gamma0 <= -1.0 + epsilon_target:
         # Already inside the target band; nothing to certify beyond damping.
@@ -211,7 +202,6 @@ def design_certificate(
             epsilon=eps, c1=c1, c2=c2, mu=mu, T=0.0, met_at_start=True,
         )
 
-    eps = choose_epsilon(epsilon_target, gamma0)
     sq = math.sqrt(eps)
     c2_req = required_c2(nu, gamma0, eps, r_init, r0)
     c0 = max(2.0 * c1 / sq, c2_req + c1 / sq)

@@ -29,8 +29,9 @@ platform.
 
 Each law and each program is one frozen dataclass that holds everything
 about its variant: its scenario key ``variant``, its parameters as fields,
-and its control closure. LAWS and PROGRAMS map the keys to the classes, and
-scenario parsing, writing and gain sweeps loop over them.
+and its control (a law's kernel expression, a program's closure). LAWS and
+PROGRAMS map the keys to the classes, and scenario parsing, writing and gain
+sweeps loop over them.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Dict, Union
 
-from .errors import ValidationError, ZeroBaseline
+from .dynamics import law_control
+from .errors import ValidationError
 
-_sqrt = math.sqrt
 _sin = math.sin
 _floor = math.floor
 
@@ -49,78 +50,61 @@ _floor = math.floor
 # ---------------------------------------------------------------------------
 # pursuer law records
 #
-# A law's one field is its gain. stability_gain(capture_radius) is its
-# worst-case curvature-per-w gain before termination, which sets the
-# stability cap on the step. scalar_control(nu) returns its closure in the
-# integrator's scalar control convention (see dynamics).
+# A law's one field is its gain. Its kernel is its command as an expression
+# in the terms the dynamics docstring lists; its closure and its fused RK4
+# loop are both compiled from that text. stability_gain(capture_radius), its
+# worst-case curvature-per-w gain before termination, sets the step cap.
 
 
-def _require_finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+class _Law:
+    """What every law shares; each law is a frozen dataclass on top of it."""
+
+    kernel: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        value = gain(self)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{fields(self)[0].name} must be finite and positive, got {value}")
+
+    def stability_gain(self, capture_radius: float) -> float:
+        return gain(self)
+
+    def scalar_control(self, nu: float) -> Callable[..., float]:
+        """The law's closure in the integrator's scalar control convention."""
+        return law_control(type(self))(self, nu)
 
 
 @dataclass(frozen=True)
-class MCPG:
+class MCPG(_Law):
     """Motion-camouflage proportional guidance with curvature gain mu > 0."""
 
     variant: ClassVar[str] = "mcpg"
+    kernel: ClassVar[str] = "mu * (rx * dry - ry * drx) / sqrt(rsq)"
     mu: float
-
-    def __post_init__(self) -> None:
-        _require_finite_positive("mu", self.mu)
-
-    def stability_gain(self, capture_radius: float) -> float:
-        return self.mu
-
-    def scalar_control(self, nu: float) -> Callable[..., float]:
-        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _mu=self.mu):
-            return _mcpg_u(px - ex, py - ey, cp - _nu * ce, sp - _nu * se, _mu)
-
-        return control
 
 
 @dataclass(frozen=True)
-class Exact:
+class Exact(_Law):
     """MCPG plus the exact evader-steering feedforward term; gain mu > 0."""
 
     variant: ClassVar[str] = "exact"
+    kernel: ClassVar[str] = (
+        MCPG.kernel + " + (((dpe := cp * ce + sp * se) - nu) / (1.0 - nu * dpe)) * (nu * nu) * ue"
+    )
     mu: float
-
-    def __post_init__(self) -> None:
-        _require_finite_positive("mu", self.mu)
-
-    def stability_gain(self, capture_radius: float) -> float:
-        return self.mu
-
-    def scalar_control(self, nu: float) -> Callable[..., float]:
-        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _mu=self.mu):
-            return _exact_u(
-                px - ex, py - ey, cp - _nu * ce, sp - _nu * se, cp * ce + sp * se, _nu, _mu, ue
-            )
-
-        return control
 
 
 @dataclass(frozen=True)
-class PPNG:
+class PPNG(_Law):
     """Planar pure proportional navigation with navigation gain N > 0."""
 
     variant: ClassVar[str] = "ppng"
+    kernel: ClassVar[str] = "N * (rx * dry - ry * drx) / rsq"
     N: float
-
-    def __post_init__(self) -> None:
-        _require_finite_positive("N", self.N)
 
     def stability_gain(self, capture_radius: float) -> float:
         """The command stiffens as the range shrinks; N/capture_radius at worst."""
         return self.N / capture_radius
-
-    def scalar_control(self, nu: float) -> Callable[..., float]:
-        def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue, _nu=nu, _n=self.N):
-            return _ppng_u(px - ex, py - ey, cp - _nu * ce, sp - _nu * se, _n)
-
-        return control
 
 
 PursuerLaw = Union[MCPG, Exact, PPNG]
@@ -273,31 +257,6 @@ def random_level(seed: int, index: int, u_max: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels (single source of truth for the law arithmetic)
-
-
-def _mcpg_u(rx: float, ry: float, drx: float, dry: float, mu: float) -> float:
-    rn = _sqrt(rx * rx + ry * ry)
-    if rn == 0.0:
-        raise ZeroBaseline("pursuit law undefined at zero baseline")
-    return mu * (rx * dry - ry * drx) / rn
-
-
-def _exact_u(
-    rx: float, ry: float, drx: float, dry: float, dpe: float, nu: float, mu: float, ue: float
-) -> float:
-    base = _mcpg_u(rx, ry, drx, dry, mu)
-    return base + ((dpe - nu) / (1.0 - nu * dpe)) * (nu * nu) * ue
-
-
-def _ppng_u(rx: float, ry: float, drx: float, dry: float, n_gain: float) -> float:
-    rsq = rx * rx + ry * ry
-    if rsq == 0.0:
-        raise ZeroBaseline("pursuit law undefined at zero baseline")
-    return n_gain * (rx * dry - ry * drx) / rsq
-
-
-# ---------------------------------------------------------------------------
 # operations on any law or program
 
 
@@ -329,5 +288,13 @@ def scalar_evader_control(program: EvaderProgram) -> Callable[[float], float]:
 
 
 def stability_step_cap(law: PursuerLaw, nu: float, capture_radius: float) -> float:
-    """Largest step size the fixed-step integrator accepts for this law."""
-    return 0.1 / (law.stability_gain(capture_radius) * (1.0 + nu))
+    """Largest step size the fixed-step integrator accepts for this law.
+
+    Raises ValidationError naming the law and its gain when the cap is not a
+    positive finite number, as when a huge gain overflows it to 0.
+    """
+    stiffness = law.stability_gain(capture_radius) * (1.0 + nu)
+    cap = 0.1 / stiffness if stiffness > 0.0 else math.inf
+    if not 0.0 < cap < math.inf:
+        raise ValidationError(f"{law.variant} gain {gain(law)!r} leaves no finite positive step cap")
+    return cap

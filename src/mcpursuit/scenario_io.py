@@ -456,13 +456,6 @@ class TrajectoryRecord:
             return self.t[-1]
         return None
 
-    def state_at(self, i: int) -> EngagementState:
-        return EngagementState(
-            pursuer=ParticleState(PlanarVector(self.px[i], self.py[i]), self.ptheta[i]),
-            evader=ParticleState(PlanarVector(self.ex[i], self.ey[i]), self.etheta[i]),
-            time=self.t[i],
-        )
-
 
 def f17(v: float) -> str:
     """A float at 17 significant digits, the precision of every output file."""

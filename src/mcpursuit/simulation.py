@@ -6,7 +6,7 @@ import math
 import struct
 from typing import Callable, Optional
 
-from .dynamics import EngagementState, ParticleState, rk4_step_scalars
+from .dynamics import EngagementState, ParticleState, rk4_loop, rk4_step_scalars
 from .errors import InitialCollision, ZeroBaseline
 from .geometry import PlanarVector
 from .guidance import scalar_evader_control, scalar_pursuer_control
@@ -42,7 +42,8 @@ def simulate(
     the run with termination "non_finite"; the offending sample is not
     recorded. Controls recorded at a sample are the ones steering the step
     that leaves it: they are handed to that step as its RK4 stage 1, so each
-    control is evaluated once per stage, sampled or not.
+    control is evaluated once per stage, sampled or not. The stride - 1
+    unsampled steps after it are one call of the law's dynamics.rk4_loop.
 
     The keyword overrides replace the configured law or program; the law
     override receives the full engagement state plus the evader control value
@@ -62,19 +63,24 @@ def simulate(
     t_max = scenario.t_max
     half_sample = 0.5 * h * stride
 
+    law = scenario.pursuer_law
     if pursuer_control is not None:
-        outer = pursuer_control
-
         def up_fn(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
             state = EngagementState(
                 pursuer=ParticleState(PlanarVector(px, py), pth),
                 evader=ParticleState(PlanarVector(ex, ey), eth),
                 time=t,
             )
-            return outer(state, ue)
+            return pursuer_control(state, ue)
+
+        def run(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader):
+            for k in range(k, k + n):
+                px, py, pth, ex, ey, eth = step(k * h, px, py, pth, ex, ey, eth, h, nu, up_fn, evader)
+            return px, py, pth, ex, ey, eth
 
     else:
-        up_fn = scalar_pursuer_control(scenario.pursuer_law, nu)
+        up_fn = scalar_pursuer_control(law, nu)
+        run = rk4_loop(type(law))
     ue_fn = evader_control if evader_control is not None else scalar_evader_control(
         scenario.evader_program
     )
@@ -165,12 +171,11 @@ def simulate(
             px, py, pth, ex, ey, eth = step(
                 t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
             )
-            k += 1
-            for _ in range(stride - 1):
-                px, py, pth, ex, ey, eth = step(
-                    k * h, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn
+            if stride > 1:
+                px, py, pth, ex, ey, eth = run(
+                    law, k + 1, stride - 1, px, py, pth, ex, ey, eth, h, nu, ue_fn
                 )
-                k += 1
+            k += stride
         except ZeroBaseline:
             termination = TERMINATION_CAPTURE
             break

@@ -48,3 +48,12 @@ def scalar_args(s, ue=0.0):
         e.position.x, e.position.y, e.heading, math.cos(e.heading), math.sin(e.heading),
         ue,
     )
+
+
+def state_at(record, i):
+    """The engagement state of a record's sample i."""
+    return EngagementState(
+        pursuer=ParticleState(PlanarVector(record.px[i], record.py[i]), record.ptheta[i]),
+        evader=ParticleState(PlanarVector(record.ex[i], record.ey[i]), record.etheta[i]),
+        time=record.t[i],
+    )

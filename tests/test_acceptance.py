@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import scalar_args
+from conftest import scalar_args, state_at
 from mcpursuit.cli import main as cli_main
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.gain_design import design_certificate
@@ -362,7 +362,7 @@ def test_gain_families_coincide_under_their_equivalences(battery, tmp_path):
     mcpg = scalar_pursuer_control(MCPG(mu), nu)
     worst = 0.0
     for i in range(record.n_samples):
-        args = scalar_args(record.state_at(i))
+        args = scalar_args(state_at(record, i))
         a = mcpg(*args)
         b = scalar_pursuer_control(PPNG(mu * record.r_norm[i]), nu)(*args)
         scale = max(1.0, abs(a))

@@ -272,6 +272,26 @@ def test_overflowing_inputs_exit_with_their_documented_codes(argv, code, tmp_pat
     assert "Traceback" not in capsys.readouterr().err
 
 
+# Gains whose stability cap overflows to a zero step.
+HUGE_GAINS = [
+    # ppng's N / capture_radius overflows; N = mu * r0 with r0 = r_init / 100.
+    (["compare", "--scenario", _shipped("straight_chase"),
+      "--set", "pursuer_law.mu=1e308", "--set", "t_max=0"], "ppng gain 1.2"),
+    # r0 = 3e-307 certifies mu near 1.2e308, finite, but mu * (1 + nu) is not.
+    (["certify", "--verify", "--scenario", _shipped("random_weave"), "--r0", "3e-307"],
+     "mcpg gain 1.2"),
+    (["run", "--scenario", _shipped("straight_chase"),
+      "--set", "pursuer_law.mu=1e308", "--set", "nu=0.9"], "mcpg gain 1e+308"),
+]
+
+
+@pytest.mark.parametrize("argv,names", HUGE_GAINS, ids=["compare", "certify", "run"])
+def test_a_gain_that_leaves_no_step_is_named(argv, names, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert names in err and "leaves no finite positive step cap" in err
+
+
 # Values for --set, --r0 and --gains: malformed, non-finite, overflowing,
 # subnormal and a few valid ones. None of them asks for a long run once
 # t_max is at most 0.5: a step small enough for that is over MAX_STEPS.

@@ -1,12 +1,25 @@
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcpursuit.dynamics import ParticleState, rk4_step_scalars
+from mcpursuit.dynamics import ParticleState, rk4_loop, rk4_step_scalars
+from mcpursuit.errors import ZeroBaseline
 from mcpursuit.geometry import PlanarVector
-from mcpursuit.guidance import MCPG
+from mcpursuit.guidance import (
+    MCPG,
+    PPNG,
+    Constant,
+    Exact,
+    PiecewiseRandom,
+    Sinusoid,
+    Zero,
+    scalar_evader_control,
+    scalar_pursuer_control,
+)
 from mcpursuit.scenario_io import build_scenario
 from mcpursuit.simulation import simulate
 
@@ -189,3 +202,55 @@ def test_non_finite_control_raises_through_step():
     with pytest.raises(ValueError):
         rk4_step_scalars(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1, 0.5,
                          infinite_pursuer, _zero_evader)
+
+
+_LAWS = (MCPG(3.0), Exact(2.5), PPNG(4.0))
+_PROGRAMS = (Zero(), Constant(0.3), Sinusoid(amplitude=0.2, angular_freq=1.1, phase=0.4),
+             PiecewiseRandom(seed=5, dwell=0.3, u_max=0.5))
+
+
+def _outcome(run):
+    """The state's bits, or the type of what the run raised."""
+    try:
+        return [v.hex() for v in run()]
+    except (ZeroBaseline, ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _plain_steps(law, program, k0, n, state, h, nu):
+    pursuer = scalar_pursuer_control(law, nu)
+    evader = scalar_evader_control(program)
+    for k in range(k0, k0 + n):
+        state = rk4_step_scalars(k * h, *state, h, nu, pursuer, evader)
+    return state
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_LAWS), st.sampled_from(_PROGRAMS),
+       st.tuples(_finite, _finite, st.floats(-7.0, 7.0), _finite, _finite, st.floats(-7.0, 7.0)),
+       st.integers(0, 10**6), st.integers(0, 25),
+       st.floats(min_value=1e-4, max_value=0.2), st.floats(min_value=0.0, max_value=0.95))
+def test_fused_loop_is_bitwise_the_plain_steps(law, program, state, k0, n, h, nu):
+    fused = rk4_loop(type(law))
+    got = _outcome(lambda: fused(law, k0, n, *state, h, nu, scalar_evader_control(program)))
+    assert got == _outcome(lambda: _plain_steps(law, program, k0, n, state, h, nu))
+
+
+def test_a_zero_baseline_inside_the_loop_raises_through_it():
+    # The pursuer runs straight into a still evader; stage 4 of step 3 lands on it.
+    state = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    for law in _LAWS:
+        with pytest.raises(ZeroBaseline):
+            rk4_loop(type(law))(law, 0, 8, *state, 0.25, 0.0, scalar_evader_control(Zero()))
+
+
+def test_importing_the_cli_compiles_no_law_code():
+    code = (
+        "import gc, types\n"
+        "import mcpursuit.cli\n"
+        "print(*sorted(f.__code__.co_filename for f in gc.get_objects()\n"
+        "              if isinstance(f, types.FunctionType)\n"
+        "              and f.__code__.co_filename.startswith(('<rk4', '<control'))), sep='|')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "<rk4 step>"

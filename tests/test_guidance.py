@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scalar_args
@@ -20,9 +20,6 @@ from mcpursuit.guidance import (
     Zero,
     _GAMMA,
     _MASK64,
-    _exact_u,
-    _mcpg_u,
-    _ppng_u,
     _splitmix64,
     random_level,
     scalar_evader_control,
@@ -94,11 +91,15 @@ def test_exact_law_reduces_to_mcpg_for_straight_evaders(s, mu, nu):
 @given(states, st.floats(min_value=0.01, max_value=50.0),
        st.floats(min_value=0.05, max_value=0.95),
        st.floats(min_value=-2.0, max_value=2.0))
+@example(s=_state(0.0, -1.0, 0.0, 0.0, 0.0, 0.0), mu=32.0, nu=0.5, ue=5.3469047210606456e-08)
 def test_exact_feedforward_is_bounded_by_nu_squared_ue(s, mu, nu, ue):
     # The heading-alignment coefficient has modulus at most one, so the
-    # correction can never exceed nu^2 * |u_e|.
-    diff = _u_p(Exact(mu), s, nu, ue) - _u_p(MCPG(mu), s, nu)
-    assert abs(diff) <= nu * nu * abs(ue) * (1.0 + 1e-9) + 1e-15
+    # correction can never exceed nu^2 * |u_e|. Adding it to the MCPG term
+    # rounds the sum by up to half an ulp of the Exact command, which the
+    # subtraction below gets back, so one ulp of that command is the slack.
+    exact = _u_p(Exact(mu), s, nu, ue)
+    diff = exact - _u_p(MCPG(mu), s, nu)
+    assert abs(diff) <= nu * nu * abs(ue) * (1.0 + 1e-9) + math.ulp(exact)
 
 
 @given(states, st.floats(min_value=0.01, max_value=50.0),
@@ -256,10 +257,14 @@ def test_scalar_adapters_agree_with_state_level_controls(s, nu):
     args = scalar_args(s, 0.25)
     _, px, py, _, cp, sp, ex, ey, _, ce, se, ue = args
     rx, ry, drx, dry = px - ex, py - ey, cp - nu * ce, sp - nu * se
+    # Each law's formula, written out as the reference.
+    rn = math.sqrt(rx * rx + ry * ry)
+    mcpg = 3.0 * (rx * dry - ry * drx) / rn
+    dpe = cp * ce + sp * se
     kernels = {
-        MCPG(3.0): _mcpg_u(rx, ry, drx, dry, 3.0),
-        Exact(3.0): _exact_u(rx, ry, drx, dry, cp * ce + sp * se, nu, 3.0, ue),
-        PPNG(4.0): _ppng_u(rx, ry, drx, dry, 4.0),
+        MCPG(3.0): mcpg,
+        Exact(3.0): mcpg + ((dpe - nu) / (1.0 - nu * dpe)) * (nu * nu) * ue,
+        PPNG(4.0): 4.0 * (rx * dry - ry * drx) / (rx * rx + ry * ry),
     }
     for law, want in kernels.items():
         assert scalar_pursuer_control(law, nu)(*args) == want

@@ -1,14 +1,18 @@
 """Engagement loop behavior: sampling, termination, and override hooks."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import state_at
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import InitialCollision, ValidationError
 from mcpursuit.geometry import PlanarVector
-from mcpursuit.guidance import MCPG, Constant, Sinusoid, Zero
+from mcpursuit.guidance import MCPG, PPNG, Constant, Exact, PiecewiseRandom, Sinusoid, Zero
 from mcpursuit.metrics import compute_metrics
 from mcpursuit.scenario_io import (
     CSV_COLUMNS,
@@ -148,7 +152,7 @@ def test_metric_columns_match_recomputation():
     config = _scenario(t_max=0.5, evader_program=Constant(0.4))
     record = simulate(config)
     for i in range(record.n_samples):
-        m = compute_metrics(record.state_at(i), config.nu)
+        m = compute_metrics(state_at(record, i), config.nu)
         assert record.gamma[i] == m.gamma
         assert record.w[i] == m.w_signed
         assert record.r_norm[i] == m.baseline_len
@@ -215,3 +219,52 @@ def test_recorded_samples_are_packed():
         tracemalloc.stop()
     assert record.n_samples == n
     assert kept / n <= 130.0
+
+
+_GAINS = (MCPG(0.1), Exact(0.1), PPNG(0.001))
+
+
+@pytest.mark.parametrize("law", _GAINS, ids=lambda law: law.variant)
+def test_a_zero_baseline_between_samples_ends_the_run_as_capture(law):
+    # Straight at a still evader 1 away: stage 4 of step 3 lands exactly on
+    # it, inside the unsampled steps of the first stride.
+    config = _scenario(nu=0.0, pursuer_init=_state(0.0, 0.0, 0.0),
+                       evader_init=_state(1.0, 0.0, 0.0), pursuer_law=law,
+                       step_size=0.25, t_max=10.0, capture_radius=0.01)
+    dense = simulate(config)
+    coarse = simulate(dataclasses.replace(config, sample_stride=8))
+    assert dense.termination == coarse.termination == TERMINATION_CAPTURE
+    assert list(dense.t) == [0.0, 0.25, 0.5, 0.75]
+    assert list(coarse.t) == [0.0]
+
+
+def test_an_infinite_heading_between_samples_ends_the_run_as_non_finite():
+    config = _scenario(step_size=0.02, t_max=5.0, sample_stride=20)
+
+    def evader(t):
+        # An infinite turn rate makes the evader heading infinite at the next stage.
+        return math.inf if t > 0.1 else 0.0
+
+    record = simulate(config, evader_control=evader)
+    assert record.termination == TERMINATION_NON_FINITE
+    assert list(record.t) == [0.0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((MCPG(3.0), Exact(3.0), PPNG(0.5))),
+       st.sampled_from((Zero(), Constant(0.4), Sinusoid(amplitude=0.5, angular_freq=2.0),
+                        PiecewiseRandom(seed=3, dwell=0.2, u_max=0.6))),
+       st.integers(min_value=2, max_value=9),
+       st.floats(min_value=0.3, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.0, max_value=0.9))
+def test_a_strided_record_is_every_stride_th_row_of_the_dense_one(law, program, stride, x, pth,
+                                                                  eth, nu):
+    config = _scenario(nu=nu, pursuer_init=_state(x, 0.2, pth), evader_init=_state(0.0, 0.0, eth),
+                       pursuer_law=law, evader_program=program, step_size=None, t_max=1.0)
+    dense = simulate(config)
+    coarse = simulate(dataclasses.replace(config, sample_stride=stride))
+    rows = min(coarse.n_samples, -(-dense.n_samples // stride))
+    assert rows >= 1
+    for name in CSV_COLUMNS:
+        want = getattr(dense, name)[::stride][:rows]
+        assert [v.hex() for v in getattr(coarse, name)[:rows]] == [v.hex() for v in want]
