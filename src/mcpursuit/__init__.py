@@ -12,14 +12,12 @@ from .errors import (
     CertificateMismatch,
     DegenerateGamma,
     DegenerateStart,
-    InitialCollision,
     InvalidGeometry,
     InvalidSpeedRatio,
     McpursuitError,
     ParseError,
     ValidationError,
     ZeroBaseline,
-    ZeroVector,
 )
 from .gain_design import (
     GainCertificate,
@@ -29,7 +27,7 @@ from .gain_design import (
     ppng_equivalent_gain,
     required_c2,
 )
-from .geometry import PlanarVector, cross, dot, norm, perp, unit
+from .geometry import PlanarVector
 from .guidance import (
     MCPG,
     PPNG,
@@ -74,7 +72,6 @@ __all__ = [
     "EngagementState",
     "Exact",
     "GainCertificate",
-    "InitialCollision",
     "InvalidGeometry",
     "InvalidSpeedRatio",
     "MCPG",
@@ -91,28 +88,22 @@ __all__ = [
     "ValidationError",
     "Zero",
     "ZeroBaseline",
-    "ZeroVector",
     "build_scenario",
     "camouflage_test",
     "check_envelope",
     "choose_epsilon",
     "compute_c1",
     "compute_metrics",
-    "cross",
     "design_certificate",
-    "dot",
     "gamma_envelope",
     "initial_range",
     "initial_state",
-    "norm",
     "parse_scenario",
-    "perp",
     "ppng_equivalent_gain",
     "random_level",
     "read_trajectory_csv",
     "simulate",
     "stability_step_cap",
-    "unit",
     "validate_scenario",
     "write_scenario",
     "write_trajectory_csv",

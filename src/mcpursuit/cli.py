@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: run, sweep, certify, compare. Exit codes: 0 success, 2 usage
-error, 3 validation or parse failure, 4 numerical blow-up, 5 I/O failure.
+error, 3 validation, parse or other package error (McpursuitError), 4 numerical
+blow-up, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -14,18 +15,7 @@ import sys
 from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    CertificateMismatch,
-    DegenerateGamma,
-    DegenerateStart,
-    InitialCollision,
-    InvalidGeometry,
-    InvalidSpeedRatio,
-    ParseError,
-    ValidationError,
-    ZeroBaseline,
-    ZeroVector,
-)
+from .errors import McpursuitError, ValidationError
 from .gain_design import GainCertificate, design_certificate
 from .guidance import MCPG, PPNG, Exact, gain, scaled, stability_step_cap
 from .metrics import check_envelope, compute_metrics
@@ -58,19 +48,6 @@ SWEEP_SETTLE_FRACTION = 0.05
 
 #: Epsilon target used by the certify subcommand.
 DEFAULT_EPSILON_TARGET = 0.01
-
-_VALIDATION_ERRORS = (
-    ParseError,
-    ValidationError,
-    InvalidSpeedRatio,
-    DegenerateStart,
-    InvalidGeometry,
-    CertificateMismatch,
-    DegenerateGamma,
-    InitialCollision,
-    ZeroVector,
-    ZeroBaseline,
-)
 
 
 class _UsageError(Exception):
@@ -372,7 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(f"mcpursuit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _VALIDATION_ERRORS as exc:
+    except McpursuitError as exc:
         print(f"mcpursuit: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

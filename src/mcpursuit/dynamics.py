@@ -28,8 +28,11 @@ renamed to each stage's values (cp2, px2, a2, ...). Its instances:
 law_control(law_class) compiles the law's closure from the same kernel text,
 so ``n`` steps of a loop are bitwise ``n`` rk4_step_scalars calls with the
 closure. A kernel is an expression in rx, ry (pursuer minus evader), drx, dry
-(its rate), rsq = rx*rx + ry*ry, the stage's cp, sp, ce, se and ue, nu, sqrt
-and the law's fields; a zero baseline raises ZeroBaseline before it.
+(its rate), rsq = rx*rx + ry*ry, the stage's t, px, py, pth, ex, ey, eth, cp,
+sp, ce, se and ue, nu, sqrt and the law's fields; a zero baseline raises
+ZeroBaseline before it. A field named like a name of the generated code (h,
+nu, t, px, cp1, ...; all of them in _TAKEN) is a ValueError: binding it would
+overwrite that name.
 """
 
 from __future__ import annotations
@@ -117,6 +120,28 @@ if rsq == 0.0:
     raise ZeroBaseline("pursuit law undefined at zero baseline")
 a = """
 
+# The two functions compiled per law: the fused loop and the closure's maker.
+# {gains} binds the law's fields to locals of the same names.
+_LOOP = """\
+def rk4_loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader, cos=cos, sin=sin, sqrt=sqrt):
+{gains}    half = 0.5 * h
+    for k in range(k, k + n):
+        t = k * h
+{step}    return px, py, pth, ex, ey, eth
+"""
+_MAKE = """\
+def make(law, nu):
+{gains}    def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
+        vce = nu * ce; vse = nu * se
+{law}        return a
+    return control
+"""
+
+# Every name the generated code uses besides a kernel's own; a law field may
+# not take one of them, since binding it would overwrite the step's value.
+_TAKEN = frozenset(re.findall(r"[A-Za-z_]\w*",
+                              re.sub(r'#.*|\{\w+\}|"[^"]*"', "", _STEP + _LAW + _LOOP + _MAKE)))
+
 
 def _stage(text: str, k: int, t: str, state: str, ue: str) -> str:
     names = {"t": t, "ue": ue}
@@ -146,7 +171,12 @@ def _compile(source: str, filename: str, name: str) -> Callable:
 
 
 def _law_text(law_class: type) -> tuple:
-    gains = "".join(f"    {f.name} = law.{f.name}\n" for f in fields(law_class))
+    names = [f.name for f in fields(law_class)]
+    for name in names:
+        if name in _TAKEN:
+            raise ValueError(f"{law_class.__name__} field {name!r} would overwrite a name "
+                             "of the generated RK4 step; rename the field")
+    gains = "".join(f"    {name} = law.{name}\n" for name in names)
     return gains, _LAW + law_class.kernel + "\n"
 
 
@@ -171,32 +201,13 @@ def rk4_loop(law_class: type) -> Callable:
     """``loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader)`` runs steps k to
     k + n - 1 (step j starts at t = j*h) under ``law`` and returns the state after them."""
     gains, law = _law_text(law_class)
-    return _compile(
-        "def rk4_loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader,\n"
-        "             cos=cos, sin=sin, sqrt=sqrt):\n"
-        + gains
-        + "    half = 0.5 * h\n"
-        "    for k in range(k, k + n):\n"
-        "        t = k * h\n"
-        + _step_body("ue = evader(t)\n" + law, law, "        ")
-        + "    return px, py, pth, ex, ey, eth\n",
-        f"<rk4 {law_class.variant}>",
-        "rk4_loop",
-    )
+    step = _step_body("ue = evader(t)\n" + law, law, "        ")
+    return _compile(_LOOP.format(gains=gains, step=step), f"<rk4 {law_class.variant}>", "rk4_loop")
 
 
 @functools.lru_cache(maxsize=None)
 def law_control(law_class: type) -> Callable:
     """``make(law, nu)``: the law's closure in the scalar control convention."""
     gains, law = _law_text(law_class)
-    return _compile(
-        "def make(law, nu):\n"
-        + gains
-        + "    def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):\n"
-        "        vce = nu * ce; vse = nu * se\n"
-        + _indent(law, "        ")
-        + "        return a\n"
-        "    return control\n",
-        f"<control {law_class.variant}>",
-        "make",
-    )
+    return _compile(_MAKE.format(gains=gains, law=_indent(law, "        ")),
+                    f"<control {law_class.variant}>", "make")

@@ -9,16 +9,8 @@ class McpursuitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroVector(McpursuitError):
-    """A unit direction was requested from the zero vector."""
-
-
 class ZeroBaseline(McpursuitError):
     """Pursuer and evader occupy the same point, so the baseline has no direction."""
-
-
-class InitialCollision(McpursuitError):
-    """A simulation was started with coincident pursuer and evader positions."""
 
 
 class ValidationError(McpursuitError):

@@ -179,7 +179,8 @@ def design_certificate(
     Raises
     ------
     InvalidSpeedRatio, DegenerateStart, InvalidGeometry
-        For nu outside [0, 1), gamma0 = 1, or an r0/r_init mismatch.
+        For nu outside [0, 1), gamma0 = 1, an r0/r_init mismatch, or an r0 so
+        small that mu is not finite.
     """
     # The two helpers check nu, u_e_max, epsilon_target and gamma0, in that order.
     c1 = compute_c1(nu, u_e_max)
@@ -190,26 +191,22 @@ def design_certificate(
     if not (0.0 < r0 < r_init):
         raise InvalidGeometry(f"need 0 < r0 < r_init, got r0={r0}, r_init={r_init}")
 
-    if gamma0 <= -1.0 + epsilon_target:
+    met_at_start = gamma0 <= -1.0 + epsilon_target
+    if met_at_start:
         # Already inside the target band; nothing to certify beyond damping.
         eps = epsilon_target
-        sq = math.sqrt(eps)
-        c0 = 2.0 * c1 / sq
-        c2 = c1 / sq
-        mu = ((1.0 + nu) / (1.0 - nu)) * ((1.0 + nu) / r0 + c0)
-        return GainCertificate(
-            nu=nu, u_e_max=u_e_max, gamma0=gamma0, r_init=r_init, r0=r0,
-            epsilon=eps, c1=c1, c2=c2, mu=mu, T=0.0, met_at_start=True,
-        )
-
     sq = math.sqrt(eps)
-    c2_req = required_c2(nu, gamma0, eps, r_init, r0)
-    c0 = max(2.0 * c1 / sq, c2_req + c1 / sq)
-    c2 = c0 - c1 / sq
+    c0 = 2.0 * c1 / sq
+    if not met_at_start:
+        c0 = max(c0, required_c2(nu, gamma0, eps, r_init, r0) + c1 / sq)
     mu = ((1.0 + nu) / (1.0 - nu)) * ((1.0 + nu) / r0 + c0)
+    if not math.isfinite(mu):
+        raise InvalidGeometry(f"the certified gain mu = {mu} is not finite at r0 = {r0}; "
+                              "a larger r0 lowers it")
     return GainCertificate(
         nu=nu, u_e_max=u_e_max, gamma0=gamma0, r_init=r_init, r0=r0,
-        epsilon=eps, c1=c1, c2=c2, mu=mu, T=(r_init - r0) / (1.0 + nu),
+        epsilon=eps, c1=c1, c2=c0 - c1 / sq, mu=mu,
+        T=0.0 if met_at_start else (r_init - r0) / (1.0 + nu), met_at_start=met_at_start,
     )
 
 

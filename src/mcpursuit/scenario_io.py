@@ -64,7 +64,7 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import islice
 from operator import neg
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
@@ -149,9 +149,8 @@ def build_scenario(
     capture_radius: float = 0.05,
     sample_stride: int = 1,
     label: str = "",
-    validate: bool = True,
 ) -> ScenarioConfig:
-    """Construct a ScenarioConfig, filling the documented defaults.
+    """Construct and validate a ScenarioConfig, filling the documented defaults.
 
     step_size defaults to the stability cap for the law; t_max to twice the
     initial range over (1 - nu).
@@ -160,10 +159,6 @@ def build_scenario(
         # The default step divides by the capture radius for ppng.
         _check_capture_radius(capture_radius)
         step_size = stability_step_cap(pursuer_law, nu, capture_radius)
-    if t_max is None:
-        dx = pursuer_init.position.x - evader_init.position.x
-        dy = pursuer_init.position.y - evader_init.position.y
-        t_max = 2.0 * math.sqrt(dx * dx + dy * dy) / (1.0 - nu)
     config = ScenarioConfig(
         nu=nu,
         pursuer_init=pursuer_init,
@@ -176,8 +171,9 @@ def build_scenario(
         sample_stride=sample_stride,
         label=label,
     )
-    if validate:
-        validate_scenario(config)
+    if t_max is None:
+        config = replace(config, t_max=2.0 * initial_range(config) / (1.0 - nu))
+    validate_scenario(config)
     return config
 
 

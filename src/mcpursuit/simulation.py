@@ -6,9 +6,8 @@ import math
 import struct
 from typing import Callable, Optional
 
-from .dynamics import EngagementState, ParticleState, rk4_loop, rk4_step_scalars
-from .errors import InitialCollision, ZeroBaseline
-from .geometry import PlanarVector
+from .dynamics import rk4_loop, rk4_step_scalars
+from .errors import ZeroBaseline
 from .guidance import scalar_evader_control, scalar_pursuer_control
 from .metrics import metric_values
 from .scenario_io import (
@@ -22,14 +21,10 @@ from .scenario_io import (
     validate_scenario,
 )
 
-StateControl = Callable[[EngagementState, float], float]
-
 
 def simulate(
     scenario: ScenarioConfig,
     *,
-    pursuer_control: Optional[StateControl] = None,
-    evader_control: Optional[Callable[[float], float]] = None,
     on_chunk: Optional[Callable[[TrajectoryRecord], None]] = None,
 ) -> TrajectoryRecord:
     """Integrate one engagement and return its sampled record.
@@ -44,10 +39,8 @@ def simulate(
     that leaves it: they are handed to that step as its RK4 stage 1, so each
     control is evaluated once per stage, sampled or not. The stride - 1
     unsampled steps after it are one call of the law's dynamics.rk4_loop.
-
-    The keyword overrides replace the configured law or program; the law
-    override receives the full engagement state plus the evader control value
-    at that instant. Overrides do not relax validation of the scenario itself.
+    There is no other path: a run is steered only by the scenario's law and
+    program records.
 
     ``on_chunk``, if given, is called with the record each time buffered
     samples move into its packed columns: after every RECORD_CHUNK samples
@@ -64,26 +57,9 @@ def simulate(
     half_sample = 0.5 * h * stride
 
     law = scenario.pursuer_law
-    if pursuer_control is not None:
-        def up_fn(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
-            state = EngagementState(
-                pursuer=ParticleState(PlanarVector(px, py), pth),
-                evader=ParticleState(PlanarVector(ex, ey), eth),
-                time=t,
-            )
-            return pursuer_control(state, ue)
-
-        def run(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader):
-            for k in range(k, k + n):
-                px, py, pth, ex, ey, eth = step(k * h, px, py, pth, ex, ey, eth, h, nu, up_fn, evader)
-            return px, py, pth, ex, ey, eth
-
-    else:
-        up_fn = scalar_pursuer_control(law, nu)
-        run = rk4_loop(type(law))
-    ue_fn = evader_control if evader_control is not None else scalar_evader_control(
-        scenario.evader_program
-    )
+    up_fn = scalar_pursuer_control(law, nu)
+    ue_fn = scalar_evader_control(scenario.evader_program)
+    run = rk4_loop(type(law))
 
     px = scenario.pursuer_init.position.x
     py = scenario.pursuer_init.position.y
@@ -91,9 +67,6 @@ def simulate(
     ex = scenario.evader_init.position.x
     ey = scenario.evader_init.position.y
     eth = scenario.evader_init.heading
-
-    if px == ex and py == ey:
-        raise InitialCollision("pursuer and evader start at the same point")
 
     record = TrajectoryRecord(scenario=scenario, termination=TERMINATION_TIME_LIMIT)
     # Samples gather in short list buffers, one per CSV column, and move into

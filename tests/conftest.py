@@ -1,7 +1,76 @@
+"""Shared test helpers, and law and program records that only the tests fly.
+
+The records follow the README recipe "Adding a law or an evader program": a
+law's kernel is compiled into the closure and the fused RK4 loop, so a run
+steered by one takes the same path as a run of a shipped law.
+"""
+
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 from mcpursuit.dynamics import EngagementState, ParticleState
 from mcpursuit.geometry import PlanarVector
+from mcpursuit.guidance import _Law
+
+
+@dataclass(frozen=True)
+class Steer(_Law):
+    """Open-loop turn rate: u_p = u up to t_off, then after (which may be inf)."""
+
+    variant: ClassVar[str] = "steer"
+    kernel: ClassVar[str] = "(u if t <= t_off else after)"
+    u: float
+    t_off: float = math.inf
+    after: float = 0.0
+
+    def __post_init__(self):
+        pass  # zero and non-finite commands are what some tests fly
+
+    def stability_gain(self, capture_radius):
+        return 1.0  # the step cap is then 0.1 / (1 + nu)
+
+
+@dataclass(frozen=True)
+class Linear(_Law):
+    """u_p = gp * pth - gu * ue, a law of the pursuer heading and the evader command."""
+
+    variant: ClassVar[str] = "linear"
+    kernel: ClassVar[str] = "gp * pth - gu * ue"
+    gp: float
+    gu: float
+
+
+@dataclass(frozen=True)
+class Ramp:
+    """u_e = slope * t."""
+
+    variant: ClassVar[str] = "ramp"
+    slope: float
+
+    def max_abs_control(self):
+        return 0.0  # unbounded; validation only asks for a finite number
+
+    def scalar_control(self):
+        slope = self.slope
+        return lambda t: slope * t
+
+
+@dataclass(frozen=True)
+class Switch:
+    """u_e = u up to t_off, then after (which may be inf)."""
+
+    variant: ClassVar[str] = "switch"
+    u: float
+    t_off: float = math.inf
+    after: float = 0.0
+
+    def max_abs_control(self):
+        return abs(self.u)  # before t_off; an infinite after is a test's non-finite end
+
+    def scalar_control(self):
+        u, t_off, after = self.u, self.t_off, self.after
+        return lambda t: u if t <= t_off else after
 
 
 def state_from_rel(rx, ry, drx, dry, nu, t=0.0, evader_at=(0.0, 0.0)):

@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from conftest import scalar_args, state_at
+from conftest import Steer, scalar_args, state_at
 from mcpursuit.cli import main as cli_main
-from mcpursuit.dynamics import ParticleState
+from mcpursuit.dynamics import EngagementState, ParticleState
 from mcpursuit.gain_design import design_certificate
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import (
@@ -35,7 +35,6 @@ from mcpursuit.scenario_io import (
     TERMINATION_CAPTURE,
     TERMINATION_TIME_LIMIT,
     build_scenario,
-    initial_state,
     parse_scenario,
     read_trajectory_csv,
     write_scenario,
@@ -50,10 +49,7 @@ def _report(tag, ok, detail):
 
 
 def _gamma0_of(nu, pursuer, evader):
-    probe = build_scenario(nu=nu, pursuer_init=pursuer, evader_init=evader,
-                           pursuer_law=MCPG(1.0), step_size=1.0, t_max=1.0,
-                           validate=False)
-    return compute_metrics(initial_state(probe), nu).gamma
+    return compute_metrics(EngagementState(pursuer, evader, 0.0), nu).gamma
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +263,9 @@ def test_camouflage_verdicts_separate_aligned_and_misaligned_runs():
             nu=nu,
             pursuer_init=ParticleState(baseline, theta_p + heading_offset),
             evader_init=ParticleState(PlanarVector(0.0, 0.0), theta_e),
-            pursuer_law=MCPG(1.0), step_size=0.01, t_max=10.0)
-        return simulate(config, pursuer_control=lambda st, ue: 0.0,
-                        evader_control=lambda t: u_e_value)
+            pursuer_law=Steer(0.0), evader_program=Constant(u_e_value),
+            step_size=0.01, t_max=10.0)
+        return simulate(config)
 
     def peak_w_over_speed(record):
         out = 0.0
@@ -316,8 +312,8 @@ def test_integrator_shows_fourth_order_convergence():
             nu=0.5,
             pursuer_init=ParticleState(PlanarVector(x0, y0), th0),
             evader_init=ParticleState(PlanarVector(5.0, 5.0), 0.0),
-            pursuer_law=MCPG(1.0), step_size=h, t_max=1.0)
-        record = simulate(config, pursuer_control=lambda st, ue: 1.0)
+            pursuer_law=Steer(1.0), step_size=h, t_max=1.0)
+        record = simulate(config)
         assert record.termination == TERMINATION_TIME_LIMIT
         t = record.t[-1]
         cx = x0 + math.sin(th0 + t) - math.sin(th0)

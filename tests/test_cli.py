@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcpursuit import cli
 from mcpursuit.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -19,6 +20,7 @@ from mcpursuit.cli import (
     EXIT_VALIDATION,
     main,
 )
+from mcpursuit.errors import McpursuitError
 from mcpursuit.guidance import scaled, stability_step_cap
 from mcpursuit.scenario_io import KNOWN_KEYS, parse_scenario, read_trajectory_csv
 
@@ -263,6 +265,10 @@ OVERFLOWS = [
       "--set", "pursuer_law.mu=1e308", "--set", "t_max=0"], EXIT_NUMERICAL),
     # The scaled gain overflows to inf.
     (["sweep", "--gains", "1e308", "--scenario", _shipped("straight_chase")], EXIT_VALIDATION),
+    # The certified gain overflows to inf.
+    (["certify", "--scenario", _shipped("random_weave"), "--r0", "1e-309"], EXIT_VALIDATION),
+    (["certify", "--verify", "--scenario", _shipped("random_weave"), "--r0", "1e-309"],
+     EXIT_VALIDATION),
 ]
 
 
@@ -270,6 +276,16 @@ OVERFLOWS = [
 def test_overflowing_inputs_exit_with_their_documented_codes(argv, code, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "o")]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", McpursuitError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_package_error_exits_3(error, scenario_file, tmp_path, monkeypatch, capsys):
+    def fail(args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "_cmd_run", fail)
+    assert main(["run", "--scenario", scenario_file, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "mcpursuit: the message\n"
 
 
 # Gains whose stability cap overflows to a zero step.

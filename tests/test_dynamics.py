@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcpursuit.dynamics import ParticleState, rk4_loop, rk4_step_scalars
+from conftest import Linear, Ramp
+from mcpursuit.dynamics import ParticleState, law_control, rk4_loop, rk4_step_scalars
 from mcpursuit.errors import ZeroBaseline
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import (
     MCPG,
+    _Law,
     PPNG,
     Constant,
     Exact,
@@ -105,26 +108,23 @@ def test_halving_the_step_cuts_the_arc_error_about_sixteenfold():
 
 
 def test_step_matches_the_scalar_kernel_bitwise():
-    # simulate's first step under a state-level pursuer override.
+    # simulate's first step under a test-only law of the pursuer heading.
     config = build_scenario(
         nu=0.8,
         pursuer_init=ParticleState(PlanarVector(3.0, -1.0), 0.7),
         evader_init=ParticleState(PlanarVector(0.0, 0.5), -0.2),
-        pursuer_law=MCPG(1.0),
+        pursuer_law=Linear(0.3, 0.1),
+        evader_program=Ramp(0.05),
         step_size=0.01,
         t_max=0.01,
     )
-
-    def pursuer_state(state, ue):
-        return 0.3 * state.pursuer.heading - 0.1 * ue
-
-    def evader(t):
-        return 0.05 * t
-
-    after = simulate(config, pursuer_control=pursuer_state, evader_control=evader)
+    after = simulate(config)
 
     def pursuer_scalar(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
         return 0.3 * pth - 0.1 * ue
+
+    def evader(t):
+        return 0.05 * t
 
     expected = rk4_step_scalars(0.0, 3.0, -1.0, 0.7, 0.0, 0.5, -0.2, 0.01, 0.8,
                                 pursuer_scalar, evader)
@@ -254,3 +254,21 @@ def test_importing_the_cli_compiles_no_law_code():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "<rk4 step>"
+
+
+def _renamed_mcpg(name):
+    """MCPG's kernel with its gain as a field called ``name``."""
+    return dataclasses.make_dataclass(
+        "Renamed", [(name, float)], bases=(_Law,), frozen=True,
+        namespace={"variant": f"mcpg_{name}", "kernel": MCPG.kernel.replace("mu", name)})
+
+
+@pytest.mark.parametrize("name", ["h", "nu", "t", "k", "n", "a", "half", "px", "cp1", "rsq",
+                                  "law", "evader", "range", "sqrt"])
+def test_a_law_field_may_not_take_a_name_of_the_generated_step(name):
+    # A field named h would be bound over the step size inside the loop.
+    cls = _renamed_mcpg(name)
+    for compile_law in (rk4_loop, law_control):
+        with pytest.raises(ValueError, match=f"field '{name}'"):
+            compile_law(cls)
+

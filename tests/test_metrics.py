@@ -9,7 +9,7 @@ from conftest import state_from_rel
 from mcpursuit.dynamics import EngagementState, ParticleState
 from mcpursuit.errors import CertificateMismatch, DegenerateGamma, ZeroBaseline
 from mcpursuit.gain_design import design_certificate
-from mcpursuit.geometry import PlanarVector, cross, dot, norm
+from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import MCPG, PPNG, Constant, Zero
 from mcpursuit.metrics import (
     camouflage_test,
@@ -73,7 +73,7 @@ def test_gamma_and_transverse_satisfy_the_unit_identity(geom):
     nu, rx, ry, drx, dry = geom
     s = state_from_rel(rx, ry, drx, dry, nu)
     m = compute_metrics(s, nu)
-    dn = norm(m.rel_vel)
+    dn = math.hypot(m.rel_vel.x, m.rel_vel.y)
     assert -1.0 <= m.gamma <= 1.0
     assert m.gamma**2 + (m.w_signed / dn) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert m.residual == pytest.approx(1.0 - m.gamma**2, abs=1e-15)
@@ -83,15 +83,15 @@ def test_gamma_and_transverse_satisfy_the_unit_identity(geom):
 @settings(max_examples=200)
 def test_kernel_agrees_with_vector_formulas(geom):
     nu, rx, ry, drx, dry = geom
-    r = PlanarVector(rx, ry)
-    d = PlanarVector(drx, dry)
     rn, dn, g, w, los, residual = metric_values(rx, ry, drx, dry)
-    # The scalar kernel uses sqrt of the squared sum while norm uses hypot;
+    r_len = math.hypot(rx, ry)
+    d_len = math.hypot(drx, dry)
+    # The scalar kernel uses sqrt of the squared sum while hypot does not;
     # at engagement scales they agree to a few ulps.
-    assert rn == pytest.approx(norm(r), rel=1e-15)
-    assert dn == pytest.approx(norm(d), rel=1e-15)
-    assert w == pytest.approx(cross(r, d) / norm(r), rel=1e-12, abs=1e-12)
-    assert g == pytest.approx(dot(r, d) / (norm(r) * norm(d)), rel=1e-12, abs=1e-12)
+    assert rn == pytest.approx(r_len, rel=1e-15)
+    assert dn == pytest.approx(d_len, rel=1e-15)
+    assert w == pytest.approx((rx * dry - ry * drx) / r_len, rel=1e-12, abs=1e-12)
+    assert g == pytest.approx((rx * drx + ry * dry) / (r_len * d_len), rel=1e-12, abs=1e-12)
     assert los == w / rn
 
 

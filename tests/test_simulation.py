@@ -1,4 +1,4 @@
-"""Engagement loop behavior: sampling, termination, and override hooks."""
+"""Engagement loop behavior: sampling and termination, under shipped and test-only records."""
 
 import dataclasses
 import math
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import state_at
+from conftest import Steer, Switch, state_at
 from mcpursuit.dynamics import ParticleState
-from mcpursuit.errors import InitialCollision, ValidationError
+from mcpursuit.errors import ValidationError
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import MCPG, PPNG, Constant, Exact, PiecewiseRandom, Sinusoid, Zero
 from mcpursuit.metrics import compute_metrics
@@ -43,11 +43,8 @@ def _scenario(**kwargs):
 
 
 def test_initial_collision_is_rejected():
-    config = _scenario(validate=False)
-    import dataclasses
-
-    clash = dataclasses.replace(config, pursuer_init=config.evader_init)
-    with pytest.raises((InitialCollision, ValidationError)):
+    clash = dataclasses.replace(_scenario(), pursuer_init=_scenario().evader_init)
+    with pytest.raises(ValidationError):
         simulate(clash)
 
 
@@ -58,10 +55,11 @@ def test_head_on_run_captures_at_the_closing_speed():
         nu=0.1,
         pursuer_init=_state(0.2, 0.0, math.pi),
         evader_init=_state(0.0, 0.0, math.pi),
+        pursuer_law=Steer(0.0),
         step_size=0.001,
         t_max=4.0,
     )
-    record = simulate(config, pursuer_control=lambda s, ue: 0.0, evader_control=lambda t: 0.0)
+    record = simulate(config)
     assert record.termination == TERMINATION_CAPTURE
     expected = (0.2 - 0.05) / 0.9
     assert record.capture_time == pytest.approx(expected, abs=config.step_size)
@@ -88,8 +86,8 @@ def test_stride_samples_every_nth_step():
 
 
 def test_zero_control_override_runs_straight():
-    config = _scenario(t_max=2.0)
-    record = simulate(config, pursuer_control=lambda s, ue: 0.0)
+    config = _scenario(t_max=2.0, pursuer_law=Steer(0.0))
+    record = simulate(config)
     for t, x, y in zip(record.t, record.px, record.py):
         assert x == pytest.approx(5.0 + t * math.cos(math.pi / 2.0), abs=1e-9)
         assert y == pytest.approx(t, rel=1e-12, abs=1e-12)
@@ -97,8 +95,8 @@ def test_zero_control_override_runs_straight():
 
 
 def test_evader_override_is_recorded_and_steers():
-    config = _scenario(t_max=0.5)
-    record = simulate(config, evader_control=lambda t: 0.75)
+    config = _scenario(t_max=0.5, evader_program=Switch(0.75))
+    record = simulate(config)
     assert all(u == 0.75 for u in record.u_e)
     reference = simulate(_scenario(t_max=0.5, evader_program=Constant(0.75)))
     assert record.etheta == reference.etheta
@@ -106,12 +104,8 @@ def test_evader_override_is_recorded_and_steers():
 
 
 def test_non_finite_control_stops_the_run_before_recording_garbage():
-    config = _scenario(t_max=1.0)
-
-    def explode(state, ue):
-        return math.inf if state.time > 0.1 else 0.0
-
-    record = simulate(config, pursuer_control=explode)
+    config = _scenario(t_max=1.0, pursuer_law=Steer(0.0, t_off=0.1, after=math.inf))
+    record = simulate(config)
     assert record.termination == TERMINATION_NON_FINITE
     assert record.n_samples >= 1
     assert all(math.isfinite(u) for u in record.u_p)
@@ -178,10 +172,11 @@ def test_capture_exit_keeps_the_last_partial_chunk():
         nu=0.1,
         pursuer_init=_state(4.0, 0.0, math.pi),
         evader_init=_state(0.0, 0.0, math.pi),
+        pursuer_law=Steer(0.0),
         step_size=0.001,
         t_max=10.0,
     )
-    record = simulate(config, pursuer_control=lambda s, ue: 0.0, evader_control=lambda t: 0.0)
+    record = simulate(config)
     assert record.termination == TERMINATION_CAPTURE
     assert record.n_samples % RECORD_CHUNK and record.n_samples > RECORD_CHUNK
     assert _column_lengths(record) == {record.n_samples}
@@ -191,12 +186,9 @@ def test_capture_exit_keeps_the_last_partial_chunk():
 def test_non_finite_exit_keeps_the_last_partial_chunk():
     h = 2.0 ** -7
     last = RECORD_CHUNK + 904
-    config = _scenario(step_size=h, t_max=2.0 * last * h)
-
-    def explode(state, ue):
-        return math.inf if state.time > last * h else 0.0
-
-    record = simulate(config, pursuer_control=explode)
+    config = _scenario(step_size=h, t_max=2.0 * last * h,
+                       pursuer_law=Steer(0.0, t_off=last * h, after=math.inf))
+    record = simulate(config)
     assert record.termination == TERMINATION_NON_FINITE
     assert _column_lengths(record) == {last + 1}
     assert record.t[-1] == last * h
@@ -239,19 +231,16 @@ def test_a_zero_baseline_between_samples_ends_the_run_as_capture(law):
 
 
 def test_an_infinite_heading_between_samples_ends_the_run_as_non_finite():
-    config = _scenario(step_size=0.02, t_max=5.0, sample_stride=20)
-
-    def evader(t):
-        # An infinite turn rate makes the evader heading infinite at the next stage.
-        return math.inf if t > 0.1 else 0.0
-
-    record = simulate(config, evader_control=evader)
+    # An infinite turn rate makes the evader heading infinite at the next stage.
+    config = _scenario(step_size=0.02, t_max=5.0, sample_stride=20,
+                       evader_program=Switch(0.0, t_off=0.1, after=math.inf))
+    record = simulate(config)
     assert record.termination == TERMINATION_NON_FINITE
     assert list(record.t) == [0.0]
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from((MCPG(3.0), Exact(3.0), PPNG(0.5))),
+@given(st.sampled_from((MCPG(3.0), Exact(3.0), PPNG(0.5), Steer(0.7, t_off=0.5, after=-0.4))),
        st.sampled_from((Zero(), Constant(0.4), Sinusoid(amplitude=0.5, angular_freq=2.0),
                         PiecewiseRandom(seed=3, dwell=0.2, u_max=0.6))),
        st.integers(min_value=2, max_value=9),
