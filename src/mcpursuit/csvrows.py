@@ -22,14 +22,15 @@ CSV_COLUMNS = (
 #: Seventeen significant digits: every double parses back bit-identically.
 F17 = "%.17g"
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
-CSV_ROW = ",".join([F17] * len(CSV_COLUMNS)) + "\n"
+#: One row as ASCII bytes: bytes %-formatting prints a float as str's does.
+CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
 
 #: Bytes of one chunk row count on the writer's standard input.
 COUNT_BYTES = 8
 
 
 def rows(columns):
-    """The CSV lines, newline included, of equal-length columns of floats."""
+    """The CSV lines, newline included, of equal-length columns of floats, as ASCII bytes."""
     return map(CSV_ROW.__mod__, zip(*columns))
 
 
@@ -47,7 +48,7 @@ def _write_chunks(counts, data, out) -> None:
         if len(block) != size:
             raise EOFError(f"chunk of {n} rows cut short")
         values = memoryview(block).cast("d")
-        out.write("".join(rows(values[i * n:(i + 1) * n] for i in range(width))).encode("ascii"))
+        out.write(b"".join(rows(values[i * n:(i + 1) * n] for i in range(width))))
 
 
 def main(argv) -> int:

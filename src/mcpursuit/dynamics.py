@@ -16,31 +16,45 @@ computed for the stage; the evader callable receives the stage time only.
 
 The RK4 step is written once, as the source text ``_STEP``. Its four stage
 slots take one control text, written in the convention's plain names and
-renamed to each stage's values (cp2, px2, a2, ...). Its instances:
+renamed to each stage's values (cp2, px2, a2, ...). Four functions are
+compiled from it:
 
 * rk4_step_scalars, one step calling the controls it is given, compiled at
   import. A caller that already evaluated both controls at the start of the
   step (simulate does, to record them at a sample) passes them as the two
   trailing arguments, and stage 1 calls neither again: bitwise the same step.
 * rk4_loop(law_class), ``n`` steps with the law's kernel inline at each stage;
-  only the evader stays a call. Compiled on first use, cached per class.
+  only the evader stays a call.
+* rk4_split(law_class), the same steps cut in two halves along the evader/
+  pursuer seam. The evader's half is every statement of ``_STEP`` that sets
+  an evader value (its trig, its positions, its program calls, b, and the
+  stage times); it reads nothing of the pursuer, because u_e is a function
+  of time alone. The pursuer's half is every other statement, the law in the
+  stage slots included. ``rk4_evade`` runs the evader's half and packs each
+  step's row: the evader's state at the step's start and the stage values
+  of the evader's that the pursuer's half reads. ``rk4_pursue`` runs the
+  pursuer's half over those rows. simulate runs the two in two processes.
 
-law_control(law_class) compiles the law's closure from the same kernel text,
-so ``n`` steps of a loop are bitwise ``n`` rk4_step_scalars calls with the
-closure. A kernel is an expression in rx, ry (pursuer minus evader), drx, dry
-(its rate), rsq = rx*rx + ry*ry, the stage's t, px, py, pth, ex, ey, eth, cp,
-sp, ce, se and ue, nu, sqrt and the law's fields; a zero baseline raises
-ZeroBaseline before it. A field named like a name of the generated code (h,
-nu, t, px, cp1, ...; all of them in _TAKEN) is a ValueError: binding it would
-overwrite that name.
+The last three are compiled on first use and cached per law class. All four
+keep ``_STEP``'s float operations in their order, so they give bitwise the
+same states. law_control(law_class) compiles the law's closure from the same
+kernel text, so ``n`` steps of a loop are bitwise ``n`` rk4_step_scalars
+calls with the closure. A kernel is an expression in rx, ry (pursuer minus
+evader), drx, dry (its rate), rsq = rx*rx + ry*ry, the stage's t, px, py,
+pth, ex, ey, eth, cp, sp, ce, se and ue, nu, sqrt and the law's fields; a
+zero baseline raises ZeroBaseline before it. A field named like a name of
+the generated code (h, nu, t, px, cp1, rows, ...; all of them in _TAKEN) is
+a ValueError: binding it would overwrite that name.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import linecache
 import math
 import re
+import struct
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -137,10 +151,30 @@ def make(law, nu):
     return control
 """
 
+# The two halves of _LOOP for a split run. The evader's loop packs each step's
+# {row} for put before it moves its state; the pursuer's loop reads them back.
+_EVADE = """\
+def rk4_evade(k, n, ex, ey, eth, h, nu, evader, put, pack=pack, cos=cos, sin=sin):
+    half = 0.5 * h
+    for k in range(k, k + n):
+        t = k * h
+{step}    return ex, ey, eth
+"""
+_PURSUE = """\
+def rk4_pursue(law, rows, n, px, py, pth, h, nu, islice=islice, cos=cos, sin=sin, sqrt=sqrt):
+{gains}    half = 0.5 * h
+    for {row} in islice(rows, n):
+{step}    return px, py, pth
+"""
+
 # Every name the generated code uses besides a kernel's own; a law field may
 # not take one of them, since binding it would overwrite the step's value.
-_TAKEN = frozenset(re.findall(r"[A-Za-z_]\w*",
-                              re.sub(r'#.*|\{\w+\}|"[^"]*"', "", _STEP + _LAW + _LOOP + _MAKE)))
+_TAKEN = frozenset(re.findall(r"[A-Za-z_]\w*", re.sub(
+    r'#.*|\{\w+\}|"[^"]*"', "", _STEP + _LAW + _LOOP + _MAKE + _EVADE + _PURSUE)))
+
+# Targets of the pursuer's statements in _STEP; every other statement is the evader's.
+_PURSUER_TARGET = re.compile(r"(cp|sp|px|py|pth|a)\d*$")
+_UE = "ue = evader(t)\n"
 
 
 def _stage(text: str, k: int, t: str, state: str, ue: str) -> str:
@@ -161,9 +195,9 @@ def _indent(text: str, prefix: str) -> str:
     return re.sub(r"(?m)^(?=.)", prefix, text)
 
 
-def _compile(source: str, filename: str, name: str) -> Callable:
+def _compile(source: str, filename: str, name: str, **names) -> Callable:
     namespace = dict(__name__=__name__, cos=math.cos, sin=math.sin, sqrt=math.sqrt,
-                     ZeroBaseline=ZeroBaseline)
+                     islice=itertools.islice, ZeroBaseline=ZeroBaseline, **names)
     exec(compile(source, filename, "exec"), namespace)
     # Tracebacks and inspect show the generated lines.
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -201,8 +235,54 @@ def rk4_loop(law_class: type) -> Callable:
     """``loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader)`` runs steps k to
     k + n - 1 (step j starts at t = j*h) under ``law`` and returns the state after them."""
     gains, law = _law_text(law_class)
-    step = _step_body("ue = evader(t)\n" + law, law, "        ")
+    step = _step_body(_UE + law, law, "        ")
     return _compile(_LOOP.format(gains=gains, step=step), f"<rk4 {law_class.variant}>", "rk4_loop")
+
+
+@functools.lru_cache(maxsize=None)
+def rk4_split(law_class: type) -> tuple:
+    """``(evade, pursue, row)``: rk4_loop's steps cut into the evader's half and the pursuer's.
+
+    ``evade(k, n, ex, ey, eth, h, nu, evader, put)`` runs the evader through
+    steps k to k + n - 1 and returns its state after them. Each step passes
+    ``put`` one row packed by the struct ``row``: the evader's state at the
+    step's start, then every stage value of the evader's that the law reads.
+    ``pursue(law, rows, n, px, py, pth, h, nu)`` runs the pursuer through
+    the next n steps, reading the unpacked rows from the iterator ``rows``,
+    and returns its state; it stops early if ``rows`` runs out. Both do
+    rk4_loop's float operations in its order, so their states are bitwise
+    rk4_loop's, and a pursuer step raises what rk4_loop raises in a step
+    whose evader half raised nothing.
+    """
+    gains, law = _law_text(law_class)
+    evader, pursuer = [], []
+    for line in _STEP.splitlines():
+        code = line.split("#")[0].strip()
+        slot = re.fullmatch(r"\{stage(\d)\}", code)
+        if slot:
+            k, *at = _STAGES[int(slot[1]) - 1]
+            if k == 1:
+                evader.append(_stage(_UE, k, *at).strip())
+            pursuer.append(_stage(law, k, *at).rstrip())
+            continue
+        for statement in code.split("; "):
+            target = statement.split(" = ")[0]
+            (pursuer if _PURSUER_TARGET.match(target) else evader).append(statement)
+    # The evader's values that the pursuer reads, after the state they start from.
+    state = ("ex", "ey", "eth")
+    made = {"t", *state}.union(s.split(" = ")[0] for s in evader)
+    read = re.findall(r"[A-Za-z_]\w*", re.sub(r'"[^"]*"', "", "\n".join(pursuer)))
+    values = tuple(dict.fromkeys(state + tuple(n for n in read if n in made)))
+    names = ", ".join(values)
+    row = struct.Struct(f"{len(values)}d")
+    # The row leaves before the last three statements move the evader's state.
+    evader.insert(-3, f"put(pack({names}))")
+    evade = _compile(_EVADE.format(step=_indent("\n".join(evader) + "\n", "        ")),
+                     f"<evade {law_class.variant}>", "rk4_evade", pack=row.pack)
+    pursue = _compile(_PURSUE.format(gains=gains, row=names,
+                                     step=_indent("\n".join(pursuer) + "\n", "        ")),
+                      f"<pursue {law_class.variant}>", "rk4_pursue")
+    return evade, pursue, row
 
 
 @functools.lru_cache(maxsize=None)

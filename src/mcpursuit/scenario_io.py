@@ -155,6 +155,7 @@ def build_scenario(
     step_size defaults to the stability cap for the law; t_max to twice the
     initial range over (1 - nu).
     """
+    _check_nu(nu)  # before the defaults, which divide by 1 - nu
     if step_size is None:
         # The default step divides by the capture radius for ppng.
         _check_capture_radius(capture_radius)
@@ -179,8 +180,7 @@ def build_scenario(
 
 def validate_scenario(config: ScenarioConfig) -> None:
     """Raise ValidationError naming the first violated invariant."""
-    if not 0.0 <= config.nu < 1.0:
-        raise ValidationError(f"nu out of [0, 1): {config.nu}")
+    _check_nu(config.nu)
     for name, p in (("pursuer_init", config.pursuer_init), ("evader_init", config.evader_init)):
         if not math.isfinite(p.heading):
             raise ValidationError(f"{name}.heading is not finite: {p.heading}")
@@ -210,6 +210,11 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ValidationError(
             f"t_max / step_size asks for {count} steps, over the limit of MAX_STEPS = {MAX_STEPS}"
         )
+
+
+def _check_nu(nu: float) -> None:
+    if not 0.0 <= nu < 1.0:
+        raise ValidationError(f"nu out of [0, 1): {nu}")
 
 
 def _check_capture_radius(capture_radius: float) -> None:
@@ -459,9 +464,11 @@ def f17(v: float) -> str:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, sink: TextIO) -> None:
-    """Write the record as CSV, one row at a time; numbers carry 17 significant digits."""
+    """Write the record as CSV, RECORD_CHUNK rows at a time; numbers carry 17 significant digits."""
     sink.write(CSV_HEADER)
-    sink.writelines(rows(getattr(record, name) for name in CSV_COLUMNS))
+    lines = rows(getattr(record, name) for name in CSV_COLUMNS)
+    while chunk := b"".join(islice(lines, RECORD_CHUNK)):
+        sink.write(chunk.decode("ascii"))
 
 
 def _usable_cpus() -> int:

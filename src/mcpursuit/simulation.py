@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import struct
+import threading
 from typing import Callable, Optional
 
-from .dynamics import rk4_loop, rk4_step_scalars
+from . import scenario_io
+from .dynamics import rk4_loop, rk4_split, rk4_step_scalars
 from .errors import ZeroBaseline
 from .guidance import scalar_evader_control, scalar_pursuer_control
 from .metrics import metric_values
@@ -20,6 +24,101 @@ from .scenario_io import (
     TrajectoryRecord,
     validate_scenario,
 )
+
+#: Steps a strided run takes in process before its evader may move to a
+#: worker: a shorter run would spend more on the fork than the worker saves.
+_SPLIT_AFTER = 1 << 15
+
+#: Steps whose rows the worker packs into one write down its pipe.
+_CHUNK_STEPS = 1024
+
+#: Bytes the worker's pipe is asked to hold, some 7,000 MCPG rows: with the
+#: default 64 KiB a pause of either process soon stalls the other.
+_PIPE_BYTES = 1 << 20
+
+
+def _can_split() -> bool:
+    """Whether a strided run may fork a worker for its evader's half of each step."""
+    return (scenario_io._usable_cpus() >= 2 and hasattr(os, "fork")
+            and threading.active_count() == 1)
+
+
+def _fork_evader(evade, k, end, ex, ey, eth, h, nu, evader) -> Optional[tuple]:
+    """Start a worker running the evader from step k up to step end - 1.
+
+    The worker writes its packed rows down a pipe, _CHUNK_STEPS steps a
+    write, and exits when it is done or its evader half raises, after the
+    rows of the steps before. Returns (pid, the pipe's read end), or None if
+    the fork fails.
+    """
+    read, write = os.pipe()
+    try:
+        import fcntl
+
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass  # a smaller pipe only lets the worker run less far ahead
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    # The worker keeps only its pipe end open, so that no reader of another
+    # inherited pipe waits on it, and leaves without the parent's clean-up.
+    try:
+        os.closerange(0, write)
+        os.closerange(write + 1, os.sysconf("SC_OPEN_MAX"))
+        chunk = []
+        try:
+            while k < end:
+                n = min(_CHUNK_STEPS, end - k)
+                ex, ey, eth = evade(k, n, ex, ey, eth, h, nu, evader, chunk.append)
+                k += n
+                _write_all(write, b"".join(chunk))
+                chunk.clear()
+        finally:
+            _write_all(write, b"".join(chunk))
+    finally:
+        os._exit(0)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _rows(pipe, row: struct.Struct):
+    """The rows unpacked from the pipe, read a chunk at a time, up to the
+    last whole row before the stream ends."""
+    size = _CHUNK_STEPS * row.size
+
+    def chunks():
+        while True:
+            try:
+                data = pipe.read(size)
+            except OSError:
+                return
+            yield data[:len(data) - len(data) % row.size]
+            if len(data) < size:
+                return
+
+    return itertools.chain.from_iterable(map(row.iter_unpack, chunks()))
+
+
+def _stop(worker: tuple) -> None:
+    import signal
+
+    pid, pipe = worker
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    finally:
+        pipe.close()
 
 
 def simulate(
@@ -41,6 +140,18 @@ def simulate(
     unsampled steps after it are one call of the law's dynamics.rk4_loop.
     There is no other path: a run is steered only by the scenario's law and
     program records.
+
+    A long strided run moves its evader to a second CPU. At the first
+    sample at or past step _SPLIT_AFTER (2**15), if sample_stride > 1, the
+    process may run on two CPUs, os.fork exists and no other thread runs,
+    it forks a worker that runs the evader's half of dynamics.rk4_split and
+    streams each step's row down a pipe. The unsampled steps then run the
+    pursuer's half over those rows, which hold exactly what rk4_loop would
+    compute, so the record is the same bit for bit. If the stream ends short
+    (the evader's half raised, or the worker died), the stretch it ended in
+    and every later one run through rk4_loop. The worker is killed and
+    reaped before simulate returns. It calls its own copy of the evader
+    program's closure, which must therefore depend on the time alone.
 
     ``on_chunk``, if given, is called with the record each time buffered
     samples move into its packed columns: after every RECORD_CHUNK samples
@@ -95,72 +206,98 @@ def simulate(
 
     k = 0
     termination = TERMINATION_TIME_LIMIT
-    while True:
-        t = k * h
-        cp = cos(pth)
-        sp = sin(pth)
-        ce = cos(eth)
-        se = sin(eth)
-        rx = px - ex
-        ry = py - ey
-        drx = cp - nu * ce
-        dry = sp - nu * se
-        try:
-            rn, _, g, w, los, res = metrics(rx, ry, drx, dry)
-            ue0 = ue_fn(t)
-            up0 = up_fn(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue0)
-        except ZeroBaseline:
-            termination = TERMINATION_CAPTURE
-            break
-        if not (isfinite(up0) and isfinite(ue0)):
-            termination = TERMINATION_NON_FINITE
-            break
-        col_t(t)
-        col_px(px)
-        col_py(py)
-        col_pth(pth)
-        col_ex(ex)
-        col_ey(ey)
-        col_eth(eth)
-        col_up(up0)
-        col_ue(ue0)
-        col_rn(rn)
-        col_g(g)
-        col_w(w)
-        col_los(los)
-        col_res(res)
-        room -= 1
-        if not room:
-            flush()
-            room = RECORD_CHUNK
-        if rn <= capture_radius:
-            termination = TERMINATION_CAPTURE
-            break
-        if t >= t_max - half_sample:
-            termination = TERMINATION_TIME_LIMIT
-            break
-        try:
-            # The step leaving the sample reuses its controls as RK4 stage 1.
-            px, py, pth, ex, ey, eth = step(
-                t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
-            )
-            if stride > 1:
-                px, py, pth, ex, ey, eth = run(
-                    law, k + 1, stride - 1, px, py, pth, ex, ey, eth, h, nu, ue_fn
+    split_at = _SPLIT_AFTER  # the step from which the evader may move to a worker
+    worker = None  # the worker's (pid, pipe), once it is started
+    rows = None  # the worker's rows, until its stream ends
+    try:
+        while True:
+            t = k * h
+            cp = cos(pth)
+            sp = sin(pth)
+            ce = cos(eth)
+            se = sin(eth)
+            rx = px - ex
+            ry = py - ey
+            drx = cp - nu * ce
+            dry = sp - nu * se
+            try:
+                rn, _, g, w, los, res = metrics(rx, ry, drx, dry)
+                ue0 = ue_fn(t)
+                up0 = up_fn(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue0)
+            except ZeroBaseline:
+                termination = TERMINATION_CAPTURE
+                break
+            if not (isfinite(up0) and isfinite(ue0)):
+                termination = TERMINATION_NON_FINITE
+                break
+            col_t(t)
+            col_px(px)
+            col_py(py)
+            col_pth(pth)
+            col_ex(ex)
+            col_ey(ey)
+            col_eth(eth)
+            col_up(up0)
+            col_ue(ue0)
+            col_rn(rn)
+            col_g(g)
+            col_w(w)
+            col_los(los)
+            col_res(res)
+            room -= 1
+            if not room:
+                flush()
+                room = RECORD_CHUNK
+            if rn <= capture_radius:
+                termination = TERMINATION_CAPTURE
+                break
+            if t >= t_max - half_sample:
+                termination = TERMINATION_TIME_LIMIT
+                break
+            try:
+                # The step leaving the sample reuses its controls as RK4 stage 1.
+                px, py, pth, ex, ey, eth = step(
+                    t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
                 )
-            k += stride
-        except ZeroBaseline:
-            termination = TERMINATION_CAPTURE
-            break
-        except (ValueError, OverflowError, ZeroDivisionError):
-            termination = TERMINATION_NON_FINITE
-            break
-        if not (
-            isfinite(px) and isfinite(py) and isfinite(pth)
-            and isfinite(ex) and isfinite(ey) and isfinite(eth)
-        ):
-            termination = TERMINATION_NON_FINITE
-            break
+                if stride > 1:
+                    if k >= split_at:
+                        split_at = math.inf  # one worker at most per run
+                        if _can_split():
+                            evade, pursue, row = rk4_split(type(law))
+                            # The worker stops past the last step the run can reach.
+                            worker = _fork_evader(evade, k + 1, math.ceil(t_max / h) + 2 * stride,
+                                                  ex, ey, eth, h, nu, ue_fn)
+                            if worker is not None:
+                                rows = _rows(worker[1], row)
+                    if rows is not None:
+                        qx, qy, qth = pursue(law, rows, stride - 1, px, py, pth, h, nu)
+                        # The next sample's step starts from the evader's state in its row.
+                        start = next(rows, None)
+                        if start is None:
+                            rows = None  # the stream ended short: this stretch runs in process
+                        else:
+                            px, py, pth = qx, qy, qth
+                            ex, ey, eth = start[0], start[1], start[2]
+                    if rows is None:
+                        px, py, pth, ex, ey, eth = run(
+                            law, k + 1, stride - 1, px, py, pth, ex, ey, eth, h, nu, ue_fn
+                        )
+                k += stride
+            except ZeroBaseline:
+                termination = TERMINATION_CAPTURE
+                break
+            except (ValueError, OverflowError, ZeroDivisionError):
+                termination = TERMINATION_NON_FINITE
+                break
+            if not (
+                isfinite(px) and isfinite(py) and isfinite(pth)
+                and isfinite(ex) and isfinite(ey) and isfinite(eth)
+            ):
+                termination = TERMINATION_NON_FINITE
+                break
+    finally:
+        if worker is not None:
+            _stop(worker)
 
     flush()
     record.termination = termination

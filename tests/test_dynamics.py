@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Linear, Ramp
-from mcpursuit.dynamics import ParticleState, law_control, rk4_loop, rk4_step_scalars
+from mcpursuit.dynamics import ParticleState, law_control, rk4_loop, rk4_split, rk4_step_scalars
 from mcpursuit.errors import ZeroBaseline
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import (
@@ -236,6 +236,28 @@ def test_fused_loop_is_bitwise_the_plain_steps(law, program, state, k0, n, h, nu
     assert got == _outcome(lambda: _plain_steps(law, program, k0, n, state, h, nu))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_LAWS + (Linear(0.3, 0.1),)), st.sampled_from(_PROGRAMS + (Ramp(0.05),)),
+       st.tuples(_finite, _finite, st.floats(-7.0, 7.0), _finite, _finite, st.floats(-7.0, 7.0)),
+       st.integers(0, 10**6), st.integers(0, 25),
+       st.floats(min_value=1e-4, max_value=0.2), st.floats(min_value=0.0, max_value=0.95))
+def test_the_split_halves_are_bitwise_the_fused_loop(law, program, state, k0, n, h, nu):
+    evader = scalar_evader_control(program)
+    fused = _outcome(lambda: rk4_loop(type(law))(law, k0, n, *state, h, nu, evader))
+    evade, pursue, row = rk4_split(type(law))
+    rows = []
+    moved = _outcome(lambda: evade(k0, n, *state[3:], h, nu, evader, rows.append))
+    pursued = _outcome(lambda: pursue(law, row.iter_unpack(b"".join(rows)), n, *state[:3], h, nu))
+    if isinstance(fused, list):
+        assert pursued + moved == fused
+    else:
+        # A step that raises in the fused loop raises in one of its halves.
+        assert not (isinstance(moved, list) and isinstance(pursued, list))
+    # Each row starts with the evader's state at its step's start.
+    if rows:
+        assert row.unpack(rows[0])[:3] == state[3:]
+
+
 def test_a_zero_baseline_inside_the_loop_raises_through_it():
     # The pursuer runs straight into a still evader; stage 4 of step 3 lands on it.
     state = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
@@ -264,11 +286,11 @@ def _renamed_mcpg(name):
 
 
 @pytest.mark.parametrize("name", ["h", "nu", "t", "k", "n", "a", "half", "px", "cp1", "rsq",
-                                  "law", "evader", "range", "sqrt"])
+                                  "law", "evader", "range", "sqrt", "rows", "put", "pack", "islice"])
 def test_a_law_field_may_not_take_a_name_of_the_generated_step(name):
     # A field named h would be bound over the step size inside the loop.
     cls = _renamed_mcpg(name)
-    for compile_law in (rk4_loop, law_control):
+    for compile_law in (rk4_loop, law_control, rk4_split):
         with pytest.raises(ValueError, match=f"field '{name}'"):
             compile_law(cls)
 

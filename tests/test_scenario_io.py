@@ -200,6 +200,14 @@ def test_validate_rejects_bad_configs():
         )
 
 
+@pytest.mark.parametrize("nu", [1.0, 1.5])
+def test_a_speed_ratio_of_one_or_more_is_a_validation_error_with_the_default_t_max(nu):
+    # The default t_max divides by 1 - nu, so nu is checked before it.
+    with pytest.raises(ValidationError, match=r"nu out of \[0, 1\)"):
+        build_scenario(nu=nu, pursuer_init=_state(1.0, 0.0, 0.0),
+                       evader_init=_state(0.0, 0.0, 0.0), pursuer_law=MCPG(2.0))
+
+
 ROUND_TRIP_CONFIGS = [
     build_scenario(
         nu=0.5,
@@ -287,6 +295,10 @@ def test_trajectory_csv_round_trip_is_bit_exact():
 
 def test_trajectory_csv_matches_a_per_cell_reference():
     record = _small_record()
+    # Cells that print as words, a negative zero and subnormals, in every column.
+    special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-310]
+    record = dataclasses.replace(record, **{
+        name: list(getattr(record, name)) + special for name in CSV_COLUMNS})
     sink = io.StringIO()
     write_trajectory_csv(record, sink)
     rows = zip(*(getattr(record, name) for name in CSV_COLUMNS))
