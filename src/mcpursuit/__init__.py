@@ -24,7 +24,6 @@ from .gain_design import (
     choose_epsilon,
     compute_c1,
     design_certificate,
-    ppng_equivalent_gain,
     required_c2,
 )
 from .geometry import PlanarVector
@@ -54,7 +53,6 @@ from .scenario_io import (
     initial_range,
     initial_state,
     parse_scenario,
-    read_trajectory_csv,
     validate_scenario,
     write_scenario,
     write_trajectory_csv,
@@ -99,9 +97,7 @@ __all__ = [
     "initial_range",
     "initial_state",
     "parse_scenario",
-    "ppng_equivalent_gain",
     "random_level",
-    "read_trajectory_csv",
     "simulate",
     "stability_step_cap",
     "validate_scenario",

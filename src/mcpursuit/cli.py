@@ -255,10 +255,11 @@ def _cmd_compare(args) -> int:
     r0 = args.r0 if args.r0 is not None else r_init / 100.0
     if not (math.isfinite(r0) and 0.0 < r0 < r_init):
         raise ValidationError(f"--r0 must lie strictly between 0 and the initial range: {r0}")
+    n_gain = mu * r0  # the PPNG gain whose command matches MCPG's at range r0
     laws: List[Tuple[str, object]] = [
         ("mcpg", MCPG(mu)),
         ("exact", Exact(mu)),
-        ("ppng", PPNG(mu * r0)),
+        ("ppng", PPNG(n_gain)),
     ]
     records: List[TrajectoryRecord] = []
     rows = ["law,step_size,termination,capture_time,final_gamma,peak_residual,peak_abs_u_p"]
@@ -284,7 +285,7 @@ def _cmd_compare(args) -> int:
         f.write("\n".join(rows) + "\n")
     with _open_out(args.out, "overlay.svg") as f:
         emit_overlay_svg(records, f)
-    print(f"compare: mu={f17(mu)} ppng_gain={f17(mu * r0)} out={args.out}")
+    print(f"compare: mu={f17(mu)} ppng_gain={f17(n_gain)} out={args.out}")
     return _run_exit(records)
 
 

@@ -208,8 +208,3 @@ def design_certificate(
         epsilon=eps, c1=c1, c2=c0 - c1 / sq, mu=mu,
         T=0.0 if met_at_start else (r_init - r0) / (1.0 + nu), met_at_start=met_at_start,
     )
-
-
-def ppng_equivalent_gain(cert: GainCertificate) -> float:
-    """Navigation gain N = mu * r0 whose PPNG command matches MCPG at range r0."""
-    return cert.mu * cert.r0

@@ -47,9 +47,10 @@ recovers bit-identical doubles.
 A TrajectoryRecord keeps each of those columns as a packed ``array('d')``, 8
 bytes per value. The CSV and SVG writers stream: they format and write a row
 or a chunk of polyline points at a time and never hold a whole file or a
-whole column of text in memory. The column order and the row template live
-in ``csvrows``; TrajectoryCsvStream formats a long run's rows in a second
-process while the run integrates.
+whole column of text in memory. TrajectoryCsvStream formats a long run's rows
+in a forked child while the run integrates; ``simulate``'s evader worker is
+started, fed and killed through the same helpers (_can_fork, _fork,
+_write_all, _kill).
 
 Summary files are JSON with ``"schema": 1``. Figures are self-contained
 SVG 1.1: solid dark pursuer path, dashed dark evader path, light gray
@@ -63,14 +64,13 @@ import json
 import math
 import os
 import sys
+import threading
 from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import islice
 from operator import neg
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
-from . import csvrows
-from .csvrows import CSV_COLUMNS, CSV_HEADER, F17, rows
 from .dynamics import EngagementState, ParticleState
 from .errors import ParseError, ValidationError
 from .geometry import PlanarVector
@@ -80,14 +80,33 @@ TERMINATION_CAPTURE = "capture"
 TERMINATION_TIME_LIMIT = "time_limit"
 TERMINATION_NON_FINITE = "non_finite"
 
+CSV_COLUMNS = (
+    "t", "px", "py", "ptheta", "ex", "ey", "etheta",
+    "u_p", "u_e", "r_norm", "gamma", "w", "los_rate", "residual",
+)
+
+#: Seventeen significant digits: every double parses back bit-identically.
+F17 = "%.17g"
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+#: One row as ASCII bytes: bytes %-formatting prints a float as str's does.
+CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
+
+#: Bytes of one chunk's row count on the CSV writer child's count pipe.
+COUNT_BYTES = 8
+
 #: Samples that ``simulate`` buffers per column before it moves them into the
 #: record's packed columns; also the fewest rows that TrajectoryCsvStream
-#: hands to a second process.
+#: hands to its writer child.
 RECORD_CHUNK = 4096
 
 #: Most integration steps a scenario may ask for: ceil(t_max / step_size).
 #: At about 160k steps per second this is some ten minutes of integration.
 MAX_STEPS = 10**8
+
+#: Most samples a scenario may ask for: ceil(t_max / (step_size *
+#: sample_stride)); the record holds at most one more. The 14 packed columns
+#: of 10**7 samples take about 1.1 GB.
+MAX_SAMPLES = 10**7
 
 #: Polyline points formatted and written per chunk by the SVG writers.
 _POINTS_CHUNK = 4096
@@ -189,8 +208,10 @@ def validate_scenario(config: ScenarioConfig) -> None:
     if not (math.isfinite(config.t_max) and config.t_max >= 0.0):
         raise ValidationError(f"t_max must be finite and nonnegative: {config.t_max}")
     _check_capture_radius(config.capture_radius)
-    if not (isinstance(config.sample_stride, int) and config.sample_stride >= 1):
-        raise ValidationError(f"sample_stride must be an integer >= 1: {config.sample_stride}")
+    stride = config.sample_stride
+    # The run computes with the stride as a float, so it must convert to one.
+    if not (isinstance(stride, int) and 1 <= stride <= sys.float_info.max):
+        raise ValidationError(f"sample_stride must be an integer >= 1 that fits a float: {stride}")
     r_init = initial_range(config)
     if r_init == 0.0:
         raise ValidationError("coincident initial positions: the baseline has zero length")
@@ -209,6 +230,11 @@ def validate_scenario(config: ScenarioConfig) -> None:
         count = math.ceil(steps) if math.isfinite(steps) else steps
         raise ValidationError(
             f"t_max / step_size asks for {count} steps, over the limit of MAX_STEPS = {MAX_STEPS}"
+        )
+    if steps > MAX_SAMPLES * stride:  # exact for any integer stride
+        raise ValidationError(
+            f"t_max / (step_size * sample_stride) asks for {math.ceil(steps / stride)} samples, "
+            f"over the limit of MAX_SAMPLES = {MAX_SAMPLES}"
         )
 
 
@@ -347,8 +373,6 @@ def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
         where = f"line {lineno}: " if lineno > 0 else ""
         raise ValidationError(f"{where}key {key!r} does not apply to the selected variants")
 
-    if not 0.0 <= nu < 1.0:
-        raise ValidationError(f"nu out of [0, 1): {nu}")
     return build_scenario(
         nu=nu,
         pursuer_init=pursuer,
@@ -382,32 +406,27 @@ def parse_scenario_with_overrides(text: str, overrides: Dict[str, str]) -> Scena
     return _config_from_entries(entries)
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_scenario(config: ScenarioConfig) -> str:
-    """Serialize a config to scenario text; parse_scenario inverts it exactly."""
+    """Serialize a config to scenario text; a float prints as its repr, so parse_scenario
+    inverts it exactly."""
     lines: List[str] = []
     if config.label:
         lines.append(f"label = {config.label}")
-    lines.append(f"nu = {_format_value(config.nu)}")
+    lines.append(f"nu = {config.nu}")
     for prefix, p in (("pursuer_init", config.pursuer_init), ("evader_init", config.evader_init)):
-        lines.append(f"{prefix}.x = {_format_value(p.position.x)}")
-        lines.append(f"{prefix}.y = {_format_value(p.position.y)}")
-        lines.append(f"{prefix}.heading = {_format_value(p.heading)}")
+        lines.append(f"{prefix}.x = {p.position.x}")
+        lines.append(f"{prefix}.y = {p.position.y}")
+        lines.append(f"{prefix}.heading = {p.heading}")
     for prefix, record in (
         ("pursuer_law", config.pursuer_law),
         ("evader_program", config.evader_program),
     ):
         lines.append(f"{prefix}.variant = {record.variant}")
         for f in fields(record):
-            lines.append(f"{prefix}.{f.name} = {_format_value(getattr(record, f.name))}")
-    lines.append(f"step_size = {_format_value(config.step_size)}")
-    lines.append(f"t_max = {_format_value(config.t_max)}")
-    lines.append(f"capture_radius = {_format_value(config.capture_radius)}")
+            lines.append(f"{prefix}.{f.name} = {getattr(record, f.name)}")
+    lines.append(f"step_size = {config.step_size}")
+    lines.append(f"t_max = {config.t_max}")
+    lines.append(f"capture_radius = {config.capture_radius}")
     lines.append(f"sample_stride = {config.sample_stride}")
     return "\n".join(lines) + "\n"
 
@@ -463,6 +482,11 @@ def f17(v: float) -> str:
     return F17 % v
 
 
+def rows(columns):
+    """The CSV lines, newline included, of equal-length columns of floats, as ASCII bytes."""
+    return map(CSV_ROW.__mod__, zip(*columns))
+
+
 def write_trajectory_csv(record: TrajectoryRecord, sink: TextIO) -> None:
     """Write the record as CSV, RECORD_CHUNK rows at a time; numbers carry 17 significant digits."""
     sink.write(CSV_HEADER)
@@ -478,9 +502,76 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _writer_argv(data_path: str) -> List[str]:
-    """Command of the CSV row writer: the csvrows script, without site or package."""
-    return [sys.executable, "-I", "-S", csvrows.__file__, data_path]
+def _can_fork() -> bool:
+    """Whether a second process may be forked: two usable CPUs, a fork
+    function, and no other thread, since the child would run without it."""
+    return _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _fork(keep, body) -> Optional[int]:
+    """Fork a child that closes every descriptor but those in ``keep`` and runs ``body()``.
+
+    The child leaves by os._exit, without the parent's clean-up: with status
+    0 when body returns, else 1 after one line on fd 2 if it is kept. Returns
+    the child's pid, or None if the fork fails.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid:
+        return pid
+    status = 1
+    try:
+        low = 0
+        for fd in sorted(keep):
+            os.closerange(low, fd)
+            low = fd + 1
+        os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+        body()
+        status = 0
+    except BaseException as exc:
+        # If fd 2 is closed this raises too, and the child still exits here.
+        os.write(2, f"mcpursuit: {exc}\n".encode("utf-8", "replace"))
+    finally:
+        os._exit(status)
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _kill(pid: int) -> None:
+    """Kill the child ``pid`` and reap it."""
+    import signal  # not at import: it would add about 1 ms to every start-up
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _write_chunks(counts: int, data: int, out: int) -> None:
+    """The CSV writer child's loop: write to fd ``out`` the rows that fd ``counts`` announces.
+
+    Each count n, COUNT_BYTES native-endian, takes the next n values of each
+    column, in CSV_COLUMNS order, from the doubles in fd ``data``. Returns
+    when ``counts`` ends; raises EOFError if a count or its chunk is cut short.
+    """
+    width = len(CSV_COLUMNS)
+    offset = 0
+    # A count is one write of fewer than PIPE_BUF bytes, so it arrives whole.
+    while head := os.read(counts, COUNT_BYTES):
+        if len(head) != COUNT_BYTES:
+            raise EOFError("row count cut short")
+        n = int.from_bytes(head, sys.byteorder)
+        size = 8 * width * n
+        block = os.pread(data, size, offset)
+        if len(block) != size:
+            raise EOFError(f"chunk of {n} rows cut short")
+        offset += size
+        values = memoryview(block).cast("d")
+        _write_all(out, b"".join(rows(values[i * n:(i + 1) * n] for i in range(width))))
 
 
 class TrajectoryCsvStream:
@@ -488,37 +579,27 @@ class TrajectoryCsvStream:
 
     Use it as a context manager around ``simulate`` and pass ``send`` as its
     ``on_chunk`` hook. Once the record holds RECORD_CHUNK samples, the stream
-    writes the header and starts the csvrows script as a second process whose
-    standard output is the file. From then on, each call appends the new
-    rows' raw column slices to a temporary data file and passes their count
-    down a pipe; the second process formats them while the run goes on, so
-    ``simulate`` never waits for it. ``simulate`` makes its last call as the
-    run ends, with every row. Leaving the block waits for the second process
-    and raises OSError if it failed.
+    writes the header and forks a child that runs _write_chunks on the file,
+    a data file and a count pipe. Each call then appends the new rows' raw
+    columns to the data file and their count to the pipe, so ``simulate``
+    never waits for the child. The data file is unlinked as soon as it is
+    opened, so no exit leaves it behind. Leaving the block reaps the child
+    and raises OSError naming the file and the exit status if it failed.
 
-    A record that stays under one chunk, a process allowed only one CPU, or
-    a second process that cannot be started gets the file from
-    ``write_trajectory_csv`` on leaving the block instead. The bytes are the
-    same either way. If the block raises, the second process is killed and a
-    partly written file is removed. The temporary data file is always
-    removed.
+    If the record stays under one chunk, _can_fork() is false (so for a
+    threaded caller too) or the fork fails, ``write_trajectory_csv`` writes
+    the same bytes on leaving the block instead. If the block raises, the
+    child is killed and a partly written file is removed.
     """
 
     def __init__(self, path: str):
-        # Loaded before the run rather than at its first chunk: importing it
-        # mid-run left the main process's peak resident set about 1.5 MB
-        # higher on a stride-1 run of ppng_lateral. Importing the package
-        # does not load it, since it costs about 7 ms.
-        import subprocess  # noqa: F401
-
         self.path = path
         self._record: Optional[TrajectoryRecord] = None
-        self._in_process = False
-        self._proc = None
-        self._data = None
-        self._data_path: Optional[str] = None
+        self._tried = False  # set once send has tried to start the child
+        self._pid: Optional[int] = None  # the writer child, until it is reaped
+        self._data: Optional[int] = None  # the unlinked data file
+        self._counts: Optional[int] = None  # the count pipe, until the child stops reading
         self._sent = 0
-        self._pipe_broken = False
         self._opened = False
 
     def __enter__(self) -> "TrajectoryCsvStream":
@@ -527,50 +608,42 @@ class TrajectoryCsvStream:
     def send(self, record: TrajectoryRecord) -> None:
         """Hand over the rows of ``record`` not sent yet; its columns are ``array('d')``."""
         self._record = record
-        if self._proc is None:
-            if self._in_process or len(record.t) < RECORD_CHUNK:
+        if self._pid is None:
+            if self._tried or len(record.t) < RECORD_CHUNK:
                 return
             self._start()
-            if self._proc is None:
+            if self._pid is None:
                 return
         n = len(record.t)
-        if n == self._sent or self._pipe_broken:
+        if n == self._sent or self._counts is None:
             return
-        data = self._data
         for name in CSV_COLUMNS:
-            with memoryview(getattr(record, name)) as column:
-                data.write(column[self._sent:n])
-        data.flush()
+            _write_all(self._data, getattr(record, name)[self._sent:n])
         try:
-            self._proc.stdin.write((n - self._sent).to_bytes(csvrows.COUNT_BYTES, sys.byteorder))
+            _write_all(self._counts, (n - self._sent).to_bytes(COUNT_BYTES, sys.byteorder))
         except BrokenPipeError:
-            # The writer has died; leaving the block reports its exit status.
-            self._pipe_broken = True
+            # The child has died; leaving the block reports its exit status.
+            os.close(self._counts)
+            self._counts = None
         self._sent = n
 
     def _start(self) -> None:
-        if _usable_cpus() < 2:
-            self._in_process = True
+        self._tried = True
+        if not _can_fork():
             return
-        import subprocess
-        import tempfile
-
-        fd, self._data_path = tempfile.mkstemp(prefix="mcpursuit-", suffix=".f64")
-        self._data = open(fd, "wb")
         with open(self.path, "wb") as csv:
             self._opened = True
             csv.write(CSV_HEADER.encode("ascii"))
             csv.flush()
-            try:
-                self._proc = subprocess.Popen(
-                    _writer_argv(self._data_path),
-                    stdin=subprocess.PIPE,
-                    stdout=csv,
-                    stderr=subprocess.PIPE,
-                    bufsize=0,
-                )
-            except OSError:
-                self._in_process = True
+            data_path = f"{self.path}.{os.getpid()}.f64"
+            data = self._data = os.open(data_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+            os.unlink(data_path)
+            counts, self._counts = os.pipe()
+            out = csv.fileno()
+            self._pid = _fork({data, counts, out, 2}, lambda: _write_chunks(counts, data, out))
+            os.close(counts)
+        if self._pid is None:
+            self._close()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
@@ -583,58 +656,35 @@ class TrajectoryCsvStream:
                 self._abort()
                 raise
         finally:
-            self._drop_data()
+            self._close()
 
     def _finish(self) -> None:
-        if self._proc is None:
+        if self._pid is None:
             self._opened = True
             with open(self.path, "w", encoding="utf-8", newline="\n") as f:
                 write_trajectory_csv(self._record, f)
             return
-        _, err = self._proc.communicate()
-        status = self._proc.returncode
-        if status != 0 or self._pipe_broken:
-            lines = err.decode("utf-8", "replace").strip().splitlines()
-            detail = f": {lines[-1]}" if lines else ""
-            raise OSError(f"{self.path}: the CSV row writer exited with status {status}{detail}")
+        self._close()  # the child reads to the end of the counts and exits
+        pid, self._pid = self._pid, None
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise OSError(f"{self.path}: the CSV row writer exited with status {status}")
 
     def _abort(self) -> None:
-        if self._proc is not None and self._proc.returncode is None:
-            self._proc.kill()
-            self._proc.communicate()
+        if self._pid is not None:
+            _kill(self._pid)
+            self._pid = None
         if self._opened:
             try:
                 os.remove(self.path)
             except FileNotFoundError:
                 pass
 
-    def _drop_data(self) -> None:
-        if self._data is not None:
-            self._data.close()
-            self._data = None
-            os.remove(self._data_path)
-
-
-def read_trajectory_csv(source: TextIO) -> Dict[str, List[float]]:
-    """Parse a trajectory CSV back into columns keyed by the header names."""
-    header = source.readline().rstrip("\n")
-    names = tuple(header.split(","))
-    if names != CSV_COLUMNS:
-        raise ParseError(f"line 1: unexpected CSV header {header!r}")
-    columns: Dict[str, List[float]] = {name: [] for name in names}
-    for lineno, line in enumerate(source, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ParseError(f"line {lineno}: expected {len(names)} cells, got {len(cells)}")
-        try:
-            for name, cell in zip(names, cells):
-                columns[name].append(float(cell))
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric cell") from None
-    return columns
+    def _close(self) -> None:
+        for fd in (self._data, self._counts):
+            if fd is not None:
+                os.close(fd)
+        self._data = self._counts = None
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +758,7 @@ def _write_polyline(sink: TextIO, xs: Sequence[float], ys: Sequence[float], styl
     write(f'<polyline fill="none" {style} points="')
     points = map("%.6g,%.6g".__mod__, zip(xs, map(neg, ys)))
     sep = ""
-    while True:
-        chunk = list(islice(points, _POINTS_CHUNK))
-        if not chunk:
-            break
+    while chunk := list(islice(points, _POINTS_CHUNK)):
         write(sep + " ".join(chunk))
         sep = " "
     write('"/>\n')
@@ -722,14 +769,8 @@ def _baseline_indices(n: int, count: int) -> List[int]:
         return []
     if count == 1 or n == 1:
         return [0]
-    seen = []
-    last = None
-    for k in range(count):
-        i = round(k * (n - 1) / (count - 1))
-        if i != last:
-            seen.append(i)
-            last = i
-    return seen
+    # The indices never decrease, so dropping repeats keeps them in order.
+    return list(dict.fromkeys(round(k * (n - 1) / (count - 1)) for k in range(count)))
 
 
 def emit_figure_svg(record: TrajectoryRecord, sink: TextIO, baseline_count: int = 12) -> None:

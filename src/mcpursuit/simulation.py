@@ -6,7 +6,6 @@ import itertools
 import math
 import os
 import struct
-import threading
 from typing import Callable, Optional
 
 from . import scenario_io
@@ -37,19 +36,13 @@ _CHUNK_STEPS = 1024
 _PIPE_BYTES = 1 << 20
 
 
-def _can_split() -> bool:
-    """Whether a strided run may fork a worker for its evader's half of each step."""
-    return (scenario_io._usable_cpus() >= 2 and hasattr(os, "fork")
-            and threading.active_count() == 1)
-
-
 def _fork_evader(evade, k, end, ex, ey, eth, h, nu, evader) -> Optional[tuple]:
     """Start a worker running the evader from step k up to step end - 1.
 
-    The worker writes its packed rows down a pipe, _CHUNK_STEPS steps a
-    write, and exits when it is done or its evader half raises, after the
-    rows of the steps before. Returns (pid, the pipe's read end), or None if
-    the fork fails.
+    The worker keeps only its pipe open and writes its packed rows down it,
+    _CHUNK_STEPS steps a write. It exits when it is done or its evader half
+    raises, after the rows of the steps before. Returns (pid, the pipe's
+    read end), or None if the fork fails.
     """
     read, write = os.pipe()
     try:
@@ -58,38 +51,23 @@ def _fork_evader(evade, k, end, ex, ey, eth, h, nu, evader) -> Optional[tuple]:
         fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     except (ImportError, AttributeError, OSError):
         pass  # a smaller pipe only lets the worker run less far ahead
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid:
-        os.close(write)
-        return pid, open(read, "rb")
-    # The worker keeps only its pipe end open, so that no reader of another
-    # inherited pipe waits on it, and leaves without the parent's clean-up.
-    try:
-        os.closerange(0, write)
-        os.closerange(write + 1, os.sysconf("SC_OPEN_MAX"))
-        chunk = []
-        try:
-            while k < end:
-                n = min(_CHUNK_STEPS, end - k)
+
+    def stream(k, ex, ey, eth):
+        while k < end:
+            n = min(_CHUNK_STEPS, end - k)
+            chunk = []
+            try:
                 ex, ey, eth = evade(k, n, ex, ey, eth, h, nu, evader, chunk.append)
-                k += n
-                _write_all(write, b"".join(chunk))
-                chunk.clear()
-        finally:
-            _write_all(write, b"".join(chunk))
-    finally:
-        os._exit(0)
+            finally:
+                scenario_io._write_all(write, b"".join(chunk))
+            k += n
 
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+    pid = scenario_io._fork({write}, lambda: stream(k, ex, ey, eth))
+    os.close(write)
+    if pid is None:
+        os.close(read)
+        return None
+    return pid, open(read, "rb")
 
 
 def _rows(pipe, row: struct.Struct):
@@ -108,17 +86,6 @@ def _rows(pipe, row: struct.Struct):
                 return
 
     return itertools.chain.from_iterable(map(row.iter_unpack, chunks()))
-
-
-def _stop(worker: tuple) -> None:
-    import signal
-
-    pid, pipe = worker
-    try:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    finally:
-        pipe.close()
 
 
 def simulate(
@@ -142,16 +109,18 @@ def simulate(
     program records.
 
     A long strided run moves its evader to a second CPU. At the first
-    sample at or past step _SPLIT_AFTER (2**15), if sample_stride > 1, the
-    process may run on two CPUs, os.fork exists and no other thread runs,
-    it forks a worker that runs the evader's half of dynamics.rk4_split and
+    sample at or past step _SPLIT_AFTER (2**15), if sample_stride > 1 and
+    scenario_io._can_fork() (two usable CPUs, fork, no other thread), it
+    forks a worker that runs the evader's half of dynamics.rk4_split and
     streams each step's row down a pipe. The unsampled steps then run the
     pursuer's half over those rows, which hold exactly what rk4_loop would
     compute, so the record is the same bit for bit. If the stream ends short
     (the evader's half raised, or the worker died), the stretch it ended in
     and every later one run through rk4_loop. The worker is killed and
-    reaped before simulate returns. It calls its own copy of the evader
-    program's closure, which must therefore depend on the time alone.
+    reaped before simulate returns. Like TrajectoryCsvStream's writer, it is
+    forked by scenario_io._fork and keeps only its own pipe. It calls its
+    own copy of the evader program's closure, which must therefore depend on
+    the time alone.
 
     ``on_chunk``, if given, is called with the record each time buffered
     samples move into its packed columns: after every RECORD_CHUNK samples
@@ -262,7 +231,7 @@ def simulate(
                 if stride > 1:
                     if k >= split_at:
                         split_at = math.inf  # one worker at most per run
-                        if _can_split():
+                        if scenario_io._can_fork():
                             evade, pursue, row = rk4_split(type(law))
                             # The worker stops past the last step the run can reach.
                             worker = _fork_evader(evade, k + 1, math.ceil(t_max / h) + 2 * stride,
@@ -297,7 +266,8 @@ def simulate(
                 break
     finally:
         if worker is not None:
-            _stop(worker)
+            worker[1].close()
+            scenario_io._kill(worker[0])
 
     flush()
     record.termination = termination

@@ -5,6 +5,7 @@ law's kernel is compiled into the closure and the fused RK4 loop, so a run
 steered by one takes the same path as a run of a shipped law.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -126,3 +127,8 @@ def state_at(record, i):
         evader=ParticleState(PlanarVector(record.ex[i], record.ey[i]), record.etheta[i]),
         time=record.t[i],
     )
+
+
+def csv_columns(source):
+    """The columns of a trajectory CSV, keyed by the header names, as floats."""
+    return {name: [float(v) for v in cells] for name, *cells in zip(*csv.reader(source))}

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import Steer, scalar_args, state_at
+from conftest import Steer, csv_columns, scalar_args, state_at
 from mcpursuit.cli import main as cli_main
 from mcpursuit.dynamics import EngagementState, ParticleState
 from mcpursuit.gain_design import design_certificate
@@ -36,7 +36,6 @@ from mcpursuit.scenario_io import (
     TERMINATION_TIME_LIMIT,
     build_scenario,
     parse_scenario,
-    read_trajectory_csv,
     write_scenario,
     write_trajectory_csv,
 )
@@ -432,7 +431,7 @@ def test_outputs_are_deterministic_and_round_trip(tmp_path):
     record = simulate(config)
     sink = io.StringIO()
     write_trajectory_csv(record, sink)
-    columns = read_trajectory_csv(io.StringIO(sink.getvalue()))
+    columns = csv_columns(io.StringIO(sink.getvalue()))
     round_trip = all(columns[name] == list(getattr(record, name))
                      for name in CSV_COLUMNS)
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import csv_columns
 from mcpursuit import cli
 from mcpursuit.cli import (
     EXIT_IO,
@@ -21,8 +22,9 @@ from mcpursuit.cli import (
     main,
 )
 from mcpursuit.errors import McpursuitError
-from mcpursuit.guidance import scaled, stability_step_cap
-from mcpursuit.scenario_io import KNOWN_KEYS, parse_scenario, read_trajectory_csv
+from mcpursuit.gain_design import design_certificate
+from mcpursuit.guidance import PPNG, scaled, stability_step_cap
+from mcpursuit.scenario_io import KNOWN_KEYS, parse_scenario, parse_scenario_with_overrides
 
 FAST_SCENARIO = """\
 nu = 0.4
@@ -221,6 +223,24 @@ def test_compare_matches_mcpg_and_exact_against_a_still_evader(scenario_file, tm
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
+def test_compare_flies_ppng_at_mu_times_r0(tmp_path, capsys):
+    # The navigation gain N = mu * r0 makes PPNG's command MCPG's at range r0.
+    cert = design_certificate(nu=0.9, u_e_max=0.0, gamma0=0.0, r_init=100.0, r0_choice=1.0)
+    out = str(tmp_path / "cmp")
+    sets = {"pursuer_law.mu": repr(cert.mu), "t_max": "0.5"}
+    argv = ["compare", "--scenario", os.path.join(SCENARIOS, "straight_chase.txt"), "--out", out,
+            "--r0", repr(cert.r0)]
+    assert main(argv + [a for k, v in sets.items() for a in ("--set", f"{k}={v}")]) == EXIT_OK
+    n_gain = cert.mu * cert.r0
+    assert n_gain == pytest.approx(37.065092445315926, rel=1e-14)
+    assert f" ppng_gain={cli.f17(n_gain)} " in capsys.readouterr().out
+    with open(os.path.join(SCENARIOS, "straight_chase.txt"), encoding="utf-8") as f:
+        config = parse_scenario_with_overrides(f.read(), sets)
+    cap = stability_step_cap(PPNG(n_gain), config.nu, config.capture_radius)
+    rows = _read(os.path.join(out, "comparison.csv")).decode("utf-8").splitlines()
+    assert rows[3].split(",")[:2] == ["ppng", cli.f17(min(config.step_size, cap))]
+
+
 @pytest.mark.parametrize("radius", ["0", "-1"])
 def test_bad_capture_radius_on_ppng_is_a_validation_error(radius, tmp_path, capsys):
     # The ppng default step divides by the capture radius.
@@ -245,7 +265,7 @@ def test_sweep_tightens_its_shared_step_to_the_largest_gain(tmp_path, capsys):
     assert cap < config.step_size
     for m in ("1", "3"):
         with open(os.path.join(out, f"gain_x{m}", "trajectory.csv"), encoding="utf-8") as f:
-            t = read_trajectory_csv(f)["t"]
+            t = csv_columns(f)["t"]
         assert t[1] == config.sample_stride * cap
 
 

@@ -1,29 +1,35 @@
-"""trajectory.csv written by a second process while the run integrates."""
+"""trajectory.csv written by a forked child while the run integrates."""
 
 import gc
 import io
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from array import array
 
 import pytest
 
-from mcpursuit import csvrows, scenario_io
+from mcpursuit import scenario_io, simulation
 from mcpursuit.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mcpursuit.scenario_io import (
+    COUNT_BYTES,
     CSV_COLUMNS,
+    CSV_HEADER,
     RECORD_CHUNK,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
+    TrajectoryCsvStream,
     TrajectoryRecord,
     parse_scenario_with_overrides,
     write_trajectory_csv,
 )
 from mcpursuit.simulation import simulate
 
-SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCENARIOS = os.path.join(ROOT, "scenarios")
 
 
 def _text(name):
@@ -33,23 +39,30 @@ def _text(name):
 
 @pytest.fixture
 def spawned(monkeypatch):
-    """Every process started through subprocess.Popen during the test."""
-    procs = []
-    real = subprocess.Popen
+    """The pid of every child forked during the test."""
+    pids = []
+    real = os.fork
 
-    class Recorded(real):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            procs.append(self)
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return procs
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
-def _ppng_overrides(n):
-    """Stride-1 overrides under which ppng_lateral records exactly n samples."""
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _ppng_overrides(n, stride=1):
+    """Overrides under which ppng_lateral records exactly n samples."""
     h = parse_scenario_with_overrides(_text("ppng_lateral"), {}).step_size
-    return {"sample_stride": "1", "t_max": repr((n - 1) * h)}
+    return {"sample_stride": str(stride), "t_max": repr((n - 1) * stride * h)}
 
 
 def _run(name, overrides, out):
@@ -71,8 +84,8 @@ def _read(path):
         return f.read()
 
 
-def _worker_expected(n):
-    return n >= RECORD_CHUNK and scenario_io._usable_cpus() > 1
+def _writer_expected(n):
+    return n >= RECORD_CHUNK and scenario_io._can_fork()
 
 
 @pytest.mark.parametrize("n", [RECORD_CHUNK - 1, RECORD_CHUNK, 2 * RECORD_CHUNK + 3])
@@ -82,8 +95,9 @@ def test_run_csv_matches_the_in_process_writer(n, tmp_path, spawned, capsys):
     record, want = _reference_csv("ppng_lateral", overrides)
     assert record.n_samples == n
     assert _read(tmp_path / "trajectory.csv") == want
-    assert len(spawned) == _worker_expected(n)
-    assert all(p.returncode == 0 for p in spawned)
+    assert len(spawned) == _writer_expected(n)
+    _assert_reaped(spawned)
+    assert sorted(os.listdir(tmp_path)) == ["summary.json", "trajectory.csv"]
     capsys.readouterr()
 
 
@@ -103,7 +117,8 @@ def test_non_finite_run_csv_matches_the_in_process_writer(tmp_path, spawned, cap
     assert record.termination == TERMINATION_NON_FINITE
     assert RECORD_CHUNK < record.n_samples < 2 * RECORD_CHUNK
     assert _read(tmp_path / "trajectory.csv") == want
-    assert len(spawned) == _worker_expected(record.n_samples)
+    assert len(spawned) == _writer_expected(record.n_samples)
+    _assert_reaped(spawned)
     capsys.readouterr()
 
 
@@ -116,39 +131,65 @@ def test_one_cpu_writes_the_csv_in_process(tmp_path, spawned, monkeypatch, capsy
     capsys.readouterr()
 
 
-def test_a_writer_that_cannot_start_falls_back_in_process(tmp_path, monkeypatch, capsys):
+def test_a_threaded_caller_writes_the_csv_in_process(tmp_path, spawned, monkeypatch, capsys):
+    # A fork copies only the forking thread, so a process running two forks nothing.
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(scenario_io, "_writer_argv",
-                        lambda data: [str(tmp_path / "no-such-interpreter"), data])
+    overrides = _ppng_overrides(RECORD_CHUNK + 1)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert _run("ppng_lateral", overrides, tmp_path) == EXIT_OK
+    finally:
+        done.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert spawned == []
+    assert _read(tmp_path / "trajectory.csv") == _reference_csv("ppng_lateral", overrides)[1]
+    capsys.readouterr()
+
+
+def test_a_writer_that_cannot_start_falls_back_in_process(tmp_path, monkeypatch, capsys):
+    def fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
     overrides = _ppng_overrides(RECORD_CHUNK + 1)
     assert _run("ppng_lateral", overrides, tmp_path / "out") == EXIT_OK
     want = _reference_csv("ppng_lateral", overrides)[1]
     assert _read(tmp_path / "out" / "trajectory.csv") == want
+    assert sorted(os.listdir(tmp_path / "out")) == ["summary.json", "trajectory.csv"]
     capsys.readouterr()
 
 
-def _fails_cleanly(run, capsys, spawned):
+def _fails_cleanly(run, capture, spawned):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run()
         gc.collect()
-    err = capsys.readouterr().err
+    err = capture.readouterr().err
     assert code == EXIT_IO
     assert "Traceback" not in err
-    assert all(p.returncode is not None for p in spawned)
+    _assert_reaped(spawned)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     return err
 
 
-def test_a_failing_writer_exits_5_and_leaves_no_csv(tmp_path, spawned, monkeypatch, capsys):
+def test_a_failing_writer_exits_5_and_leaves_no_csv(tmp_path, spawned, monkeypatch, capfd):
+    # The child's row loop raises at its first chunk; the main process's
+    # rows are not formatted on this path.
+    def rows(columns):
+        raise ValueError("injected row failure")
+
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(scenario_io, "_writer_argv",
-                        lambda data: [sys.executable, "-c", "import sys; sys.exit(3)"])
+    monkeypatch.setattr(scenario_io, "rows", rows)
     overrides = _ppng_overrides(2 * RECORD_CHUNK + 3)
-    err = _fails_cleanly(lambda: _run("ppng_lateral", overrides, tmp_path), capsys, spawned)
-    assert "trajectory.csv" in err and "status 3" in err
+    err = _fails_cleanly(lambda: _run("ppng_lateral", overrides, tmp_path), capfd, spawned)
+    assert "trajectory.csv" in err and "status 1" in err
+    assert err.count("injected row failure") == 1
     assert len(spawned) == 1
-    assert not os.path.exists(tmp_path / "trajectory.csv")
+    assert sorted(os.listdir(tmp_path)) == ["summary.json"]
 
 
 def test_an_output_path_that_is_a_file_exits_5(tmp_path, spawned, capsys):
@@ -166,46 +207,142 @@ def test_a_failure_after_the_run_kills_the_writer(tmp_path, spawned, monkeypatch
     overrides = _ppng_overrides(2 * RECORD_CHUNK + 3)
     _fails_cleanly(lambda: _run("ppng_lateral", overrides, tmp_path), capsys, spawned)
     assert len(spawned) == 1
-    assert not os.path.exists(tmp_path / "trajectory.csv")
+    assert sorted(os.listdir(tmp_path)) == ["summary.json"]
 
 
-def _chunk_file(path, columns):
-    with open(path, "wb") as f:
+def _record(columns):
+    return TrajectoryRecord(
+        scenario=parse_scenario_with_overrides(_text("straight_chase"), {}),
+        termination=TERMINATION_TIME_LIMIT,
+        **{name: array("d", column) for name, column in zip(CSV_COLUMNS, columns)},
+    )
+
+
+def _loop(tmp_path, columns, count):
+    """Run the writer child's loop in process: ``columns`` in an unlinked
+    data file, ``count`` down a pipe; return the bytes it wrote."""
+    data = os.open(tmp_path / "chunk.f64", os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    os.unlink(tmp_path / "chunk.f64")
+    read, write = os.pipe()
+    try:
         for column in columns:
-            f.write(array("d", column).tobytes())
+            os.write(data, array("d", column).tobytes())
+        os.write(write, count.to_bytes(COUNT_BYTES, sys.byteorder))
+        os.close(write)
+        with open(tmp_path / "rows.csv", "wb") as out:
+            scenario_io._write_chunks(read, data, out.fileno())
+    finally:
+        os.close(read)
+        os.close(data)
+    return _read(tmp_path / "rows.csv")
 
 
-def test_the_writer_script_runs_alone_and_matches_the_in_process_rows(tmp_path):
+def test_the_writer_loop_matches_the_in_process_rows(tmp_path):
     values = [[0.1 * k + j for k in range(3)] for j in range(len(CSV_COLUMNS))]
     values[3] = [5e-324, -0.0, -1e308]
     values[4] = [1.0 / 3.0, 123456.789012345678, 2.0]
-    data = tmp_path / "chunk.f64"
-    _chunk_file(data, values)
-    done = subprocess.run(
-        [sys.executable, "-I", "-S", csvrows.__file__, str(data)],
-        input=(3).to_bytes(csvrows.COUNT_BYTES, sys.byteorder),
-        capture_output=True,
-        check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    record = TrajectoryRecord(
-        scenario=parse_scenario_with_overrides(_text("straight_chase"), {}),
-        termination=TERMINATION_TIME_LIMIT,
-        **{name: array("d", column) for name, column in zip(CSV_COLUMNS, values)},
-    )
+    sink = io.StringIO()
+    write_trajectory_csv(_record(values), sink)
+    want = sink.getvalue().encode("ascii")
+    assert want == CSV_HEADER.encode("ascii") + _loop(tmp_path, values, 3)
+
+
+def test_the_writer_loop_fails_on_a_short_chunk(tmp_path):
+    with pytest.raises(EOFError, match="cut short"):
+        _loop(tmp_path, [[1.0, 2.0]] * len(CSV_COLUMNS), 3)
+
+
+def test_the_writer_child_keeps_only_its_three_descriptors_and_fd_2(tmp_path, spawned,
+                                                                      monkeypatch):
+    if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
+        pytest.skip("needs /proc/<pid>/fd")
+    monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
+    record = _record([[float(k + j) for k in range(RECORD_CHUNK)]
+                      for j in range(len(CSV_COLUMNS))])
     sink = io.StringIO()
     write_trajectory_csv(record, sink)
-    assert sink.getvalue().encode("ascii") == csvrows.CSV_HEADER.encode("ascii") + done.stdout
+    want = sink.getvalue().encode("ascii")
+    path = tmp_path / "trajectory.csv"
+    held = open(tmp_path / "held", "wb")  # open in the parent at the fork
+    try:
+        with TrajectoryCsvStream(str(path)) as stream:
+            stream.send(record)
+            # Once the chunk is in the file the child waits on the count pipe.
+            deadline = time.monotonic() + 30.0
+            while os.path.getsize(path) < len(want) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            fd_dir = f"/proc/{spawned[0]}/fd"
+            targets = {int(fd): os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)}
+    finally:
+        held.close()
+    assert _read(path) == want
+    assert len(spawned) == 1
+    _assert_reaped(spawned)
+    assert 2 in targets and len(targets) == 4
+    kept = sorted(target for fd, target in targets.items() if fd != 2)
+    assert kept[0] == str(path)
+    assert kept[1].startswith(f"{path}.") and kept[1].endswith(".f64 (deleted)")
+    assert kept[2].startswith("pipe:")
 
 
-def test_the_writer_script_fails_on_a_short_chunk(tmp_path):
-    data = tmp_path / "chunk.f64"
-    _chunk_file(data, [[1.0, 2.0]] * len(CSV_COLUMNS))
-    done = subprocess.run(
-        [sys.executable, "-I", "-S", csvrows.__file__, str(data)],
-        input=(3).to_bytes(csvrows.COUNT_BYTES, sys.byteorder),
-        capture_output=True,
-        check=False,
+def _open_fds():
+    return sorted(os.listdir(f"/proc/{os.getpid()}/fd"))
+
+
+def test_a_run_that_forks_the_worker_first_leaves_no_child_and_no_open_file(tmp_path, spawned,
+                                                                           monkeypatch, capsys):
+    # At stride 10 the evader worker starts at sample 3,277 (step 2**15 and
+    # a little), the CSV writer at sample 4,096.
+    if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
+        pytest.skip("needs /proc/<pid>/fd")
+    monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
+    workers = []
+    real = simulation._fork_evader
+
+    def fork_evader(*args):
+        worker = real(*args)
+        workers.append(worker[0])
+        return worker
+
+    monkeypatch.setattr(simulation, "_fork_evader", fork_evader)
+    overrides = _ppng_overrides(RECORD_CHUNK + 50, stride=10)
+    before = _open_fds()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert _run("ppng_lateral", overrides, tmp_path) == EXIT_OK
+        gc.collect()
+    assert _open_fds() == before
+    assert len(spawned) == 2 and spawned[0] == workers[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 1)
+    assert _read(tmp_path / "trajectory.csv") == _reference_csv("ppng_lateral", overrides)[1]
+    assert sorted(os.listdir(tmp_path)) == ["summary.json", "trajectory.csv"]
+    capsys.readouterr()
+
+
+def test_a_streamed_run_imports_neither_subprocess_nor_tempfile(tmp_path):
+    code = (
+        "import os, sys\n"
+        "from mcpursuit import cli, scenario_io\n"
+        "scenario_io._usable_cpus = lambda: 2\n"
+        "forks = []\n"
+        "real = os.fork\n"
+        "def fork():\n"
+        "    pid = real()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, len(forks), 'subprocess' in sys.modules, 'tempfile' in sys.modules)\n"
     )
-    assert done.returncode != 0
-    assert b"cut short" in done.stderr
+    argv = ["run", "--scenario", os.path.join(SCENARIOS, "ppng_lateral.txt"),
+            "--out", str(tmp_path)]
+    for key, value in _ppng_overrides(RECORD_CHUNK + 1).items():
+        argv += ["--set", f"{key}={value}"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    # Without site, whose .pth files may import either module on their own.
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split()[-4:] == ["0", "1", "False", "False"]

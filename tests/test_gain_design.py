@@ -19,7 +19,6 @@ from mcpursuit.gain_design import (
     choose_epsilon,
     compute_c1,
     design_certificate,
-    ppng_equivalent_gain,
     required_c2,
 )
 from mcpursuit.metrics import gamma_envelope
@@ -221,9 +220,3 @@ def test_validate_catches_tampered_certificates():
         dataclasses.replace(cert, c1=cert.c1 * 2.0).validate()
     with pytest.raises(ValueError):
         dataclasses.replace(cert, T=cert.T + 1.0).validate()
-
-
-def test_ppng_equivalent_gain_is_mu_times_r0():
-    cert = design_certificate(nu=0.9, u_e_max=0.0, gamma0=0.0, r_init=100.0, r0_choice=1.0)
-    assert ppng_equivalent_gain(cert) == cert.mu * cert.r0
-    assert ppng_equivalent_gain(cert) == pytest.approx(37.065092445315926, rel=1e-14)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import csv_columns
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ParseError, ValidationError
 from mcpursuit.geometry import PlanarVector
@@ -31,6 +32,7 @@ from mcpursuit.guidance import (
 from mcpursuit.scenario_io import (
     CSV_COLUMNS,
     KNOWN_KEYS,
+    MAX_SAMPLES,
     MAX_STEPS,
     TERMINATION_TIME_LIMIT,
     TrajectoryRecord,
@@ -39,7 +41,6 @@ from mcpursuit.scenario_io import (
     emit_overlay_svg,
     parse_scenario,
     parse_scenario_with_overrides,
-    read_trajectory_csv,
     summary_dict,
     validate_scenario,
     write_scenario,
@@ -282,7 +283,7 @@ def test_trajectory_csv_round_trip_is_bit_exact():
     record = _small_record()
     sink = io.StringIO()
     write_trajectory_csv(record, sink)
-    columns = read_trajectory_csv(io.StringIO(sink.getvalue()))
+    columns = csv_columns(io.StringIO(sink.getvalue()))
     assert set(columns) == set(CSV_COLUMNS)
     for name in CSV_COLUMNS:
         got = columns[name]
@@ -321,17 +322,6 @@ def test_list_and_array_backed_records_write_identical_bytes():
             write(record, sink)
             outputs.append(sink.getvalue())
         assert outputs[0] == outputs[1]
-
-
-def test_trajectory_csv_rejects_malformed_input():
-    with pytest.raises(ParseError, match="line 1"):
-        read_trajectory_csv(io.StringIO("t,px\n1,2\n"))
-    header = ",".join(CSV_COLUMNS)
-    with pytest.raises(ParseError, match="line 2"):
-        read_trajectory_csv(io.StringIO(header + "\n1,2,3\n"))
-    row = ",".join(["1.0"] * (len(CSV_COLUMNS) - 1) + ["oops"])
-    with pytest.raises(ParseError, match="line 3"):
-        read_trajectory_csv(io.StringIO(header + "\n" + ",".join(["0"] * 14) + "\n" + row + "\n"))
 
 
 def test_summary_json_shape_and_determinism():
@@ -442,12 +432,35 @@ def test_step_budget_is_checked_before_any_run():
     text = _shipped("straight_chase")
     with pytest.raises(ValidationError, match=r"60000000000 steps.*MAX_STEPS = 100000000"):
         parse_scenario_with_overrides(text, {"t_max": "1e9"})
-    # A power-of-two step makes the step count exact on both sides of the limit.
+    # A power-of-two step makes the step count exact on both sides of the
+    # limit, and a stride of 10 keeps the samples inside theirs.
     h = 2.0 ** -7
-    at_limit = {"step_size": repr(h), "t_max": repr(MAX_STEPS * h)}
+    at_limit = {"step_size": repr(h), "t_max": repr(MAX_STEPS * h), "sample_stride": "10"}
     assert parse_scenario_with_overrides(text, at_limit).t_max == MAX_STEPS * h
     with pytest.raises(ValidationError, match=str(MAX_STEPS + 1)):
         parse_scenario_with_overrides(text, dict(at_limit, t_max=repr((MAX_STEPS + 1) * h)))
+
+
+def test_a_stride_too_large_for_a_float_is_a_validation_error():
+    # simulate works out half a sample interval as a float, which such a
+    # stride overflows.
+    text = _shipped("straight_chase")
+    with pytest.raises(ValidationError, match="sample_stride must be an integer >= 1"):
+        parse_scenario_with_overrides(text, {"sample_stride": str(10**400)})
+    config = parse_scenario_with_overrides(text, {"sample_stride": str(10**308)})
+    assert config.sample_stride == 10**308
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_sample_budget_is_checked_before_any_run(stride):
+    text = _shipped("straight_chase")
+    h = 2.0 ** -7
+    at_limit = {"step_size": repr(h), "t_max": repr(MAX_SAMPLES * stride * h),
+                "sample_stride": str(stride)}
+    assert parse_scenario_with_overrides(text, at_limit).t_max == MAX_SAMPLES * stride * h
+    over = dict(at_limit, t_max=repr((MAX_SAMPLES * stride + 1) * h))
+    with pytest.raises(ValidationError, match=rf"{MAX_SAMPLES + 1} samples.*MAX_SAMPLES = 10000000"):
+        parse_scenario_with_overrides(text, over)
 
 
 def test_step_budget_reports_an_overflowing_step_count():
