@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import McpursuitError, ValidationError
 from .gain_design import GainCertificate, design_certificate
-from .guidance import MCPG, PPNG, Exact, gain, scaled, stability_step_cap
+from .guidance import MCPG, PPNG, Exact, PursuerLaw, gain, scaled, stability_step_cap
 from .metrics import check_envelope, compute_metrics
 from .scenario_io import (
     KNOWN_KEYS,
@@ -83,40 +83,49 @@ def _simulate_into(
     config: ScenarioConfig,
     figure: bool,
     cert: Optional[GainCertificate] = None,
-) -> Tuple[TrajectoryRecord, Optional[bool]]:
+) -> Tuple[TrajectoryRecord, dict]:
     """Run ``config`` and write trajectory.csv, summary.json and, with ``figure``, figure.svg.
 
     trajectory.csv is formatted while the run integrates (TrajectoryCsvStream)
     and completed after the other files. With ``cert``, summary.json carries
-    the certificate and the envelope check's verdict, which is returned with
-    the record.
+    the certificate and the envelope check's verdict. Returns the record and
+    the summary written.
     """
     os.makedirs(outdir, exist_ok=True)
     with TrajectoryCsvStream(os.path.join(outdir, "trajectory.csv")) as csv:
         record = simulate(config, on_chunk=csv.send)
         envelope_ok = None if cert is None else check_envelope(record, cert)
         with _open_out(outdir, "summary.json") as f:
-            write_summary_json(record, f, cert=cert, envelope_ok=envelope_ok)
+            summary = write_summary_json(record, f, cert=cert, envelope_ok=envelope_ok)
         if figure:
             with _open_out(outdir, "figure.svg") as f:
                 emit_figure_svg(record, f)
-    return record, envelope_ok
+    return record, summary
 
 
-def _run_exit(records: List[TrajectoryRecord]) -> int:
-    if any(r.termination == TERMINATION_NON_FINITE for r in records):
+def _cell(value: Optional[float], none: str = "") -> str:
+    return none if value is None else f17(value)
+
+
+def _capped(config: ScenarioConfig, law: PursuerLaw) -> float:
+    """The scenario's step, tightened to ``law``'s stability cap if that is smaller."""
+    return min(config.step_size, stability_step_cap(law, config.nu, config.capture_radius))
+
+
+def _run_exit(summaries: List[dict]) -> int:
+    if any(s["termination"] == TERMINATION_NON_FINITE for s in summaries):
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     config = _load_scenario(args)
-    record, _ = _simulate_into(args.out, config, args.figure)
+    _, summary = _simulate_into(args.out, config, args.figure)
     print(
-        f"run: termination={record.termination} samples={record.n_samples} "
-        f"final_gamma={f17(record.gamma[-1]) if record.gamma else 'n/a'} out={args.out}"
+        f"run: termination={summary['termination']} samples={summary['n_samples']} "
+        f"final_gamma={_cell(summary['gamma_final'], 'n/a')} out={args.out}"
     )
-    return _run_exit([record])
+    return _run_exit([summary])
 
 
 def _post_transient_peak(gamma: List[float]) -> Optional[float]:
@@ -138,7 +147,8 @@ def _post_transient_peak(gamma: List[float]) -> Optional[float]:
     return None
 
 
-def _parse_gains(spec: str) -> List[float]:
+def _parse_gains(spec: str) -> Dict[str, float]:
+    """The multipliers in ``spec`` by the name of their run's output directory."""
     parts = [p.strip() for p in spec.split(",")]
     if not parts or any(not p for p in parts):
         raise _UsageError(f"--gains expects comma-separated multipliers, got {spec!r}")
@@ -146,45 +156,39 @@ def _parse_gains(spec: str) -> List[float]:
         vals = [float(p) for p in parts]
     except ValueError:
         raise _UsageError(f"--gains expects comma-separated multipliers, got {spec!r}") from None
+    runs: Dict[str, float] = {}
     for v in vals:
         if not (math.isfinite(v) and v > 0.0):
             raise _UsageError(f"--gains multipliers must be finite and positive, got {v}")
-    return vals
+        name = f"gain_x{v:g}"
+        if name in runs:
+            raise _UsageError(f"--gains multipliers {runs[name]!r} and {v!r} both write to {name}")
+        runs[name] = v
+    return runs
 
 
 def _cmd_sweep(args) -> int:
     config = _load_scenario(args)
-    multipliers = _parse_gains(args.gains)
-    records: List[TrajectoryRecord] = []
+    runs = _parse_gains(args.gains)
+    summaries: List[dict] = []
     rows: List[str] = ["multiplier,gain,peak_gamma_excess,ratio_vs_prev"]
     prev_peak: Optional[float] = None
-    # One step for every run: the scenario's, tightened to the stability cap
-    # at the largest multiplier if that is smaller.
-    top = scaled(config.pursuer_law, max(multipliers))
-    step = min(config.step_size, stability_step_cap(top, config.nu, config.capture_radius))
-    for m in multipliers:
+    # One step for every run, stable at the largest multiplier.
+    step = _capped(config, scaled(config.pursuer_law, max(runs.values())))
+    for name, m in runs.items():
         cfg = replace(config, pursuer_law=scaled(config.pursuer_law, m), step_size=step)
-        record, _ = _simulate_into(os.path.join(args.out, f"gain_x{m:g}"), cfg, args.figure)
-        records.append(record)
+        record, summary = _simulate_into(os.path.join(args.out, name), cfg, args.figure)
+        summaries.append(summary)
         peak = _post_transient_peak(record.gamma)
         ratio = None
         if prev_peak is not None and peak is not None and peak > 0.0:
             ratio = prev_peak / peak
-        rows.append(
-            ",".join(
-                (
-                    f17(m),
-                    f17(gain(cfg.pursuer_law)),
-                    f17(peak) if peak is not None else "",
-                    f17(ratio) if ratio is not None else "",
-                )
-            )
-        )
+        rows.append(",".join((f17(m), f17(gain(cfg.pursuer_law)), _cell(peak), _cell(ratio))))
         prev_peak = peak
     with _open_out(args.out, "sweep.csv") as f:
         f.write("\n".join(rows) + "\n")
-    print(f"sweep: {len(multipliers)} runs out={args.out}")
-    return _run_exit(records)
+    print(f"sweep: {len(runs)} runs out={args.out}")
+    return _run_exit(summaries)
 
 
 def _cmd_certify(args) -> int:
@@ -201,38 +205,29 @@ def _cmd_certify(args) -> int:
         r0_choice=args.r0,
     )
     payload: dict = {"schema": 1, "certificate": asdict(cert)}
-    records: List[TrajectoryRecord] = []
+    summaries: List[dict] = []
     if args.verify:
         law = MCPG(cert.mu)
-        cap = stability_step_cap(law, config.nu, config.capture_radius)
-        step = min(config.step_size, cap)
-        sample_interval = step * config.sample_stride
-        cfg = replace(
-            config,
-            pursuer_law=law,
-            step_size=step,
-            t_max=1.02 * cert.T + sample_interval,
-        )
-        record, envelope_ok = _simulate_into(args.out, cfg, args.figure, cert=cert)
-        records.append(record)
+        step = _capped(config, law)
+        t_max = 1.02 * cert.T + step * config.sample_stride
+        cfg = replace(config, pursuer_law=law, step_size=step, t_max=t_max)
+        record, summary = _simulate_into(args.out, cfg, args.figure, cert=cert)
+        summaries.append(summary)
         threshold = -1.0 + cert.epsilon
-        t1 = next(
-            (record.t[i] for i in range(record.n_samples) if record.gamma[i] <= threshold),
-            None,
-        )
+        t1 = next((t for t, g in zip(record.t, record.gamma) if g <= threshold), None)
+        gamma_final = summary["gamma_final"]
         captured_aligned = (
-            record.termination == TERMINATION_CAPTURE
-            and record.n_samples > 0
-            and record.gamma[-1] <= -1.0 + math.sqrt(cert.epsilon)
+            summary["termination"] == TERMINATION_CAPTURE
+            and gamma_final is not None
+            and gamma_final <= -1.0 + math.sqrt(cert.epsilon)
         )
-        achieved = (t1 is not None and t1 <= cert.T) or captured_aligned
         payload["verification"] = {
-            "achieved": achieved,
+            "achieved": (t1 is not None and t1 <= cert.T) or captured_aligned,
             "t1": t1,
             "T": cert.T,
-            "termination": record.termination,
-            "final_gamma": record.gamma[-1] if record.gamma else None,
-            "envelope_ok": envelope_ok,
+            "termination": summary["termination"],
+            "final_gamma": gamma_final,
+            "envelope_ok": summary["envelope_ok"],
             "step_size": step,
         }
     with _open_out(args.out, "certificate.json") as f:
@@ -242,7 +237,7 @@ def _cmd_certify(args) -> int:
         f"certify: mu={f17(cert.mu)} T={f17(cert.T)} epsilon={f17(cert.epsilon)} "
         f"out={args.out}"
     )
-    return _run_exit(records)
+    return _run_exit(summaries)
 
 
 def _cmd_compare(args) -> int:
@@ -256,37 +251,28 @@ def _cmd_compare(args) -> int:
     if not (math.isfinite(r0) and 0.0 < r0 < r_init):
         raise ValidationError(f"--r0 must lie strictly between 0 and the initial range: {r0}")
     n_gain = mu * r0  # the PPNG gain whose command matches MCPG's at range r0
-    laws: List[Tuple[str, object]] = [
-        ("mcpg", MCPG(mu)),
-        ("exact", Exact(mu)),
-        ("ppng", PPNG(n_gain)),
-    ]
+    try:
+        ppng = PPNG(n_gain)
+    except ValueError as exc:
+        raise ValidationError(f"ppng gain mu * r0 = {n_gain!r}: {exc}") from None
     records: List[TrajectoryRecord] = []
+    summaries: List[dict] = []
     rows = ["law,step_size,termination,capture_time,final_gamma,peak_residual,peak_abs_u_p"]
-    for name, law in laws:
-        cap = stability_step_cap(law, config.nu, config.capture_radius)
-        cfg = replace(config, pursuer_law=law, step_size=min(config.step_size, cap))
-        record, _ = _simulate_into(os.path.join(args.out, name), cfg, args.figure)
+    stats = ("capture_time", "gamma_final", "peak_residual", "peak_abs_u_p")
+    for law in (MCPG(mu), Exact(mu), ppng):
+        step = _capped(config, law)
+        cfg = replace(config, pursuer_law=law, step_size=step)
+        record, summary = _simulate_into(os.path.join(args.out, law.variant), cfg, args.figure)
         records.append(record)
-        rows.append(
-            ",".join(
-                (
-                    name,
-                    f17(cfg.step_size),
-                    record.termination,
-                    f17(record.capture_time) if record.capture_time is not None else "",
-                    f17(record.gamma[-1]) if record.gamma else "",
-                    f17(max(record.residual)) if record.residual else "",
-                    f17(max(abs(v) for v in record.u_p)) if record.u_p else "",
-                )
-            )
-        )
+        summaries.append(summary)
+        cells = [law.variant, f17(step), summary["termination"]]
+        rows.append(",".join(cells + [_cell(summary[key]) for key in stats]))
     with _open_out(args.out, "comparison.csv") as f:
         f.write("\n".join(rows) + "\n")
     with _open_out(args.out, "overlay.svg") as f:
         emit_overlay_svg(records, f)
     print(f"compare: mu={f17(mu)} ppng_gain={f17(n_gain)} out={args.out}")
-    return _run_exit(records)
+    return _run_exit(summaries)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -69,10 +69,6 @@ class _Law:
     def stability_gain(self, capture_radius: float) -> float:
         return gain(self)
 
-    def scalar_control(self, nu: float) -> Callable[..., float]:
-        """The law's closure in the integrator's scalar control convention."""
-        return law_control(type(self))(self, nu)
-
 
 @dataclass(frozen=True)
 class MCPG(_Law):
@@ -279,7 +275,7 @@ def scaled(law: PursuerLaw, multiplier: float) -> PursuerLaw:
 
 def scalar_pursuer_control(law: PursuerLaw, nu: float) -> Callable[..., float]:
     """Fast closure for the integrator's scalar control convention."""
-    return law.scalar_control(nu)
+    return law_control(type(law))(law, nu)
 
 
 def scalar_evader_control(program: EvaderProgram) -> Callable[[float], float]:

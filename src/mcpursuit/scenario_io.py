@@ -279,112 +279,61 @@ def _finite_float(text: str) -> float:
     return value
 
 
-class _EntryReader:
-    """Typed, consumed-key-tracking access to the raw key/value map."""
+#: What a value read as each kind must look like, for its parse error.
+_EXPECTED = {_finite_float: "a finite number", int: "an integer"}
 
-    def __init__(self, entries: Dict[str, Tuple[str, int]]):
-        self.entries = entries
-        self.used: set = set()
 
-    def raw(self, key: str) -> Optional[str]:
-        if key in self.entries:
-            self.used.add(key)
-            return self.entries[key][0]
-        return None
+def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
+    """Read the entries in scenario file order into ``build_scenario``'s arguments.
 
-    def _convert(self, key: str, kind, kindname: str):
-        value, lineno = self.entries[key]
-        self.used.add(key)
+    The first fault met in that order is the one reported: a missing key or
+    an unknown variant as a ValidationError, a value that does not convert
+    as a ParseError naming its line (or the override). Last, any entry the
+    chosen variants do not read is a ValidationError.
+    """
+    used = set()
+
+    def read(key: str, kind=_finite_float, default=MISSING):
+        if key not in entries:
+            if default is MISSING:
+                raise ValidationError(f"missing required key {key!r}")
+            return default
+        used.add(key)
+        value, lineno = entries[key]
         try:
             return kind(value)
         except ValueError:
             where = f"line {lineno}: key" if lineno > 0 else "override key"
-            raise ParseError(f"{where} {key!r}: expected {kindname}, got {value!r}") from None
+            raise ParseError(f"{where} {key!r}: expected {_EXPECTED[kind]}, got {value!r}") from None
 
-    def number(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        if key not in self.entries:
-            return default
-        return self._convert(key, _finite_float, "a finite number")
+    args = {"label": read("label", str, ""), "nu": read("nu")}
+    for prefix in ("pursuer_init", "evader_init"):
+        x, y, heading = (read(f"{prefix}.{c}") for c in ("x", "y", "heading"))
+        args[prefix] = ParticleState(PlanarVector(x, y), heading)
+    variants = (read("pursuer_law.variant", str), read("evader_program.variant", str, "") or "zero")
+    for (prefix, table), variant in zip(_VARIANT_TABLES, variants):
+        if variant not in table:
+            raise ValidationError(f"unknown {prefix}.variant {variant!r}")
+        cls = table[variant]
+        values = {
+            f.name: read(f"{prefix}.{f.name}", int if f.type in (int, "int") else _finite_float,
+                         f.default)
+            for f in fields(cls)
+        }
+        try:
+            args[prefix] = cls(**values)
+        except ValueError as exc:
+            raise ValidationError(f"invalid {prefix.replace('_', ' ')}: {exc}") from exc
+    for key in ("step_size", "t_max", "capture_radius", "sample_stride"):
+        if key in entries:  # else build_scenario's default
+            args[key] = read(key, int if key == "sample_stride" else _finite_float)
 
-    def integer(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        if key not in self.entries:
-            return default
-        return self._convert(key, int, "an integer")
-
-    def require(self, key: str, integer: bool = False):
-        if key not in self.entries:
-            raise ValidationError(f"missing required key {key!r}")
-        return self.integer(key) if integer else self.number(key)
-
-    def unused(self):
-        return sorted(set(self.entries) - self.used)
-
-
-def _variant_from_entries(r: _EntryReader, prefix: str, table: dict, variant: str):
-    """The record ``table[variant]``, read from the ``prefix.<field>`` keys."""
-    if variant not in table:
-        raise ValidationError(f"unknown {prefix}.variant {variant!r}")
-    cls = table[variant]
-    values = {}
-    for f in fields(cls):
-        key = f"{prefix}.{f.name}"
-        if f.default is MISSING:
-            values[f.name] = r.require(key, integer=f.type in (int, "int"))
-        else:
-            values[f.name] = r.number(key, f.default)
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        what = prefix.replace("_", " ")
-        raise ValidationError(f"invalid {what}: {exc}") from exc
-
-
-def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
-    r = _EntryReader(entries)
-    label = r.raw("label") or ""
-    nu = r.require("nu")
-
-    pursuer = ParticleState(
-        PlanarVector(r.require("pursuer_init.x"), r.require("pursuer_init.y")),
-        r.require("pursuer_init.heading"),
-    )
-    evader = ParticleState(
-        PlanarVector(r.require("evader_init.x"), r.require("evader_init.y")),
-        r.require("evader_init.heading"),
-    )
-
-    variant = r.raw("pursuer_law.variant")
-    if variant is None:
-        raise ValidationError("missing required key 'pursuer_law.variant'")
-    law = _variant_from_entries(r, "pursuer_law", LAWS, variant)
-    program = _variant_from_entries(
-        r, "evader_program", PROGRAMS, r.raw("evader_program.variant") or "zero"
-    )
-
-    step_size = r.number("step_size")
-    t_max = r.number("t_max")
-    capture_radius = r.number("capture_radius", 0.05)
-    sample_stride = r.integer("sample_stride", 1)
-
-    leftovers = r.unused()
-    if leftovers:
-        key = leftovers[0]
-        lineno = entries[key][1]
+    leftover = min(set(entries) - used, default=None)
+    if leftover is not None:
+        lineno = entries[leftover][1]
         where = f"line {lineno}: " if lineno > 0 else ""
-        raise ValidationError(f"{where}key {key!r} does not apply to the selected variants")
-
-    return build_scenario(
-        nu=nu,
-        pursuer_init=pursuer,
-        evader_init=evader,
-        pursuer_law=law,
-        evader_program=program,
-        step_size=step_size,
-        t_max=t_max,
-        capture_radius=capture_radius,
-        sample_stride=sample_stride,
-        label=label,
-    )
+        raise ValidationError(f"{where}key {leftover!r} does not apply to the selected variants")
+    return build_scenario(**args)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -715,9 +664,12 @@ def summary_dict(record: TrajectoryRecord, cert=None, envelope_ok: Optional[bool
 
 def write_summary_json(
     record: TrajectoryRecord, sink: TextIO, cert=None, envelope_ok: Optional[bool] = None
-) -> None:
-    json.dump(summary_dict(record, cert, envelope_ok), sink, indent=2, sort_keys=True)
+) -> dict:
+    """Write the record's summary_dict as JSON and return it."""
+    summary = summary_dict(record, cert, envelope_ok)
+    json.dump(summary, sink, indent=2, sort_keys=True)
     sink.write("\n")
+    return summary
 
 
 # ---------------------------------------------------------------------------

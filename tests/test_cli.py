@@ -328,6 +328,31 @@ def test_a_gain_that_leaves_no_step_is_named(argv, names, tmp_path, capsys):
     assert names in err and "leaves no finite positive step cap" in err
 
 
+# mu * r0 is not a valid ppng gain: it overflows to inf or underflows to 0.
+BAD_PPNG_GAINS = [
+    ["compare", "--scenario", _shipped("straight_chase"), "--set", "pursuer_law.mu=1e308",
+     "--set", "t_max=0", "--r0", "3"],
+    ["compare", "--scenario", _shipped("straight_chase"), "--set", "pursuer_law.mu=1e-300",
+     "--r0", "1e-30"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_PPNG_GAINS, ids=["inf", "zero"])
+def test_a_compare_ppng_gain_that_is_not_valid_is_named(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ppng gain" in err and "Traceback" not in err
+
+
+def test_sweep_rejects_multipliers_that_share_an_output_dir(scenario_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--scenario", scenario_file, "--out", str(out), "--gains", "3,1,1.0000001"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "1.0 and 1.0000001" in err and "gain_x1" in err
+    assert not out.exists()
+
+
 # Values for --set, --r0 and --gains: malformed, non-finite, overflowing,
 # subnormal and a few valid ones. None of them asks for a long run once
 # t_max is at most 0.5: a step small enough for that is over MAX_STEPS.
@@ -366,6 +391,8 @@ def _commands(draw):
 @example(argv=OVERFLOWS[0][0])
 @example(argv=OVERFLOWS[1][0])
 @example(argv=OVERFLOWS[3][0])
+@example(argv=BAD_PPNG_GAINS[0])
+@example(argv=BAD_PPNG_GAINS[1])
 @given(argv=_commands())
 @settings(max_examples=300, deadline=None)
 def test_any_command_line_ends_with_a_documented_exit_code(argv):

@@ -165,6 +165,36 @@ def test_non_finite_numbers_are_parse_errors(value):
         parse_scenario_with_overrides(BASE_TEXT, {"t_max": value})
 
 
+# (scenario text, overrides, error, its whole message): the reader reports
+# the first fault it meets, reading in file order, and an override's fault
+# carries no line number.
+FIRST_FAULTS = [
+    (BASE_TEXT.replace("nu = 0.5\n", "") + "sample_stride = 1.5\n", {}, ValidationError,
+     "missing required key 'nu'"),
+    (BASE_TEXT, {"pursuer_law.N": "4.0"}, ValidationError,
+     "key 'pursuer_law.N' does not apply to the selected variants"),
+    (BASE_TEXT + "pursuer_law.N = 4.0\n", {}, ValidationError,
+     "line 12: key 'pursuer_law.N' does not apply to the selected variants"),
+    (BASE_TEXT + "pursuer_law.N = 4.0\n", {"evader_program.c": "1.0"}, ValidationError,
+     "key 'evader_program.c' does not apply to the selected variants"),
+    (BASE_TEXT.replace("mu = 3.0", "mu = 0") + "evader_program.variant = waltz\n", {},
+     ValidationError, "invalid pursuer law: mu must be finite and positive, got 0.0"),
+    (BASE_TEXT + "evader_program.variant = waltz\nsample_stride = x\n", {}, ValidationError,
+     "unknown evader_program.variant 'waltz'"),
+    (BASE_TEXT + "t_max = soon\n", {"sample_stride": "2.5"}, ParseError,
+     "line 12: key 't_max': expected a finite number, got 'soon'"),
+    (BASE_TEXT, {"sample_stride": "2.5"}, ParseError,
+     "override key 'sample_stride': expected an integer, got '2.5'"),
+]
+
+
+@pytest.mark.parametrize("text,overrides,error,message", FIRST_FAULTS)
+def test_the_reader_reports_the_first_fault_in_file_order(text, overrides, error, message):
+    with pytest.raises(error) as info:
+        parse_scenario_with_overrides(text, overrides)
+    assert str(info.value) == message
+
+
 def test_overrides_replace_and_extend_entries():
     config = parse_scenario_with_overrides(
         BASE_TEXT, {"nu": "0.25", "t_max": "7.5", "label": "patched"}
