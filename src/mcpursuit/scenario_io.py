@@ -33,9 +33,10 @@ field is a required finite number. Law variants: ``mcpg`` and ``exact`` take
 (``amplitude``, ``angular_freq``, optional ``phase``), ``piecewise_random``
 (``seed``, ``dwell``, ``u_max``).
 
-Defaults when a key is omitted: ``label`` empty, ``evader_program.variant``
-zero, ``capture_radius`` 0.05, ``sample_stride`` 1, ``t_max`` twice the
-initial range divided by (1 - nu), and ``step_size`` the stability cap
+A ``label`` is one line with no leading or trailing blanks. Defaults when a
+key is omitted: ``label`` empty, ``evader_program.variant`` zero,
+``capture_radius`` 0.05, ``sample_stride`` 1, ``t_max`` twice the initial
+range divided by (1 - nu), and ``step_size`` the stability cap
 0.1/(g*(1+nu)) for the law's effective gain g (g = mu for mcpg/exact,
 N/capture_radius for ppng).
 
@@ -110,6 +111,9 @@ MAX_SAMPLES = 10**7
 
 #: Polyline points formatted and written per chunk by the SVG writers.
 _POINTS_CHUNK = 4096
+
+#: Baseline segments drawn in a figure, at evenly spaced sample indices.
+_FIGURE_BASELINES = 12
 
 #: Relative tolerance applied to the stability cap so a step size computed as
 #: exactly the cap is never rejected for a rounding hair.
@@ -236,6 +240,10 @@ def validate_scenario(config: ScenarioConfig) -> None:
             f"t_max / (step_size * sample_stride) asks for {math.ceil(steps / stride)} samples, "
             f"over the limit of MAX_SAMPLES = {MAX_SAMPLES}"
         )
+    # write_scenario puts the label on one line, and the parser strips it.
+    label = config.label
+    if label != label.strip() or len(label.splitlines()) > 1:
+        raise ValidationError(f"label must be one line without leading or trailing blanks: {label!r}")
 
 
 def _check_nu(nu: float) -> None:
@@ -544,12 +552,10 @@ class TrajectoryCsvStream:
     def __init__(self, path: str):
         self.path = path
         self._record: Optional[TrajectoryRecord] = None
-        self._tried = False  # set once send has tried to start the child
+        self._sent: Optional[int] = None  # rows sent to the child; None until send tries to start it
         self._pid: Optional[int] = None  # the writer child, until it is reaped
-        self._data: Optional[int] = None  # the unlinked data file
-        self._counts: Optional[int] = None  # the count pipe, until the child stops reading
-        self._sent = 0
-        self._opened = False
+        self._fds: List[int] = []  # the data file and the count pipe, until the child stops reading
+        self._opened = False  # whether the stream has created the file at path
 
     def __enter__(self) -> "TrajectoryCsvStream":
         return self
@@ -557,27 +563,24 @@ class TrajectoryCsvStream:
     def send(self, record: TrajectoryRecord) -> None:
         """Hand over the rows of ``record`` not sent yet; its columns are ``array('d')``."""
         self._record = record
-        if self._pid is None:
-            if self._tried or len(record.t) < RECORD_CHUNK:
-                return
-            self._start()
-            if self._pid is None:
-                return
         n = len(record.t)
-        if n == self._sent or self._counts is None:
+        if self._sent is None:
+            if n < RECORD_CHUNK:
+                return
+            self._sent = 0
+            self._start()
+        if n == self._sent or not self._fds:
             return
+        data, counts = self._fds
         for name in CSV_COLUMNS:
-            _write_all(self._data, getattr(record, name)[self._sent:n])
+            _write_all(data, getattr(record, name)[self._sent:n])
         try:
-            _write_all(self._counts, (n - self._sent).to_bytes(COUNT_BYTES, sys.byteorder))
+            _write_all(counts, (n - self._sent).to_bytes(COUNT_BYTES, sys.byteorder))
         except BrokenPipeError:
-            # The child has died; leaving the block reports its exit status.
-            os.close(self._counts)
-            self._counts = None
+            self._close()  # the child has died; leaving the block reports its exit status
         self._sent = n
 
     def _start(self) -> None:
-        self._tried = True
         if not _can_fork():
             return
         with open(self.path, "wb") as csv:
@@ -585,9 +588,11 @@ class TrajectoryCsvStream:
             csv.write(CSV_HEADER.encode("ascii"))
             csv.flush()
             data_path = f"{self.path}.{os.getpid()}.f64"
-            data = self._data = os.open(data_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+            data = os.open(data_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+            self._fds.append(data)
             os.unlink(data_path)
-            counts, self._counts = os.pipe()
+            counts, write = os.pipe()
+            self._fds.append(write)
             out = csv.fileno()
             self._pid = _fork({data, counts, out, 2}, lambda: _write_chunks(counts, data, out))
             os.close(counts)
@@ -595,45 +600,33 @@ class TrajectoryCsvStream:
             self._close()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is not None:
-                self._abort()
-                return
-            try:
-                self._finish()
-            except BaseException:
-                self._abort()
-                raise
-        finally:
-            self._close()
-
-    def _finish(self) -> None:
-        if self._pid is None:
-            self._opened = True
-            with open(self.path, "w", encoding="utf-8", newline="\n") as f:
-                write_trajectory_csv(self._record, f)
-            return
-        self._close()  # the child reads to the end of the counts and exits
         pid, self._pid = self._pid, None
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            raise OSError(f"{self.path}: the CSV row writer exited with status {status}")
-
-    def _abort(self) -> None:
-        if self._pid is not None:
-            _kill(self._pid)
-            self._pid = None
-        if self._opened:
-            try:
-                os.remove(self.path)
-            except FileNotFoundError:
-                pass
+        done = False
+        try:
+            self._close()  # the child reads to the end of the counts and exits
+            if exc_type is None and pid is None:
+                self._opened = True
+                with open(self.path, "w", encoding="utf-8", newline="\n") as f:
+                    write_trajectory_csv(self._record, f)
+            elif exc_type is None:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid = None
+                if status != 0:
+                    raise OSError(f"{self.path}: the CSV row writer exited with status {status}")
+            done = exc_type is None
+        finally:
+            if pid is not None:
+                _kill(pid)
+            if self._opened and not done:
+                try:
+                    os.remove(self.path)
+                except FileNotFoundError:
+                    pass
 
     def _close(self) -> None:
-        for fd in (self._data, self._counts):
-            if fd is not None:
-                os.close(fd)
-        self._data = self._counts = None
+        for fd in self._fds:
+            os.close(fd)
+        self._fds = []
 
 
 # ---------------------------------------------------------------------------
@@ -716,26 +709,19 @@ def _write_polyline(sink: TextIO, xs: Sequence[float], ys: Sequence[float], styl
     write('"/>\n')
 
 
-def _baseline_indices(n: int, count: int) -> List[int]:
-    if count <= 0 or n == 0:
-        return []
-    if count == 1 or n == 1:
-        return [0]
-    # The indices never decrease, so dropping repeats keeps them in order.
-    return list(dict.fromkeys(round(k * (n - 1) / (count - 1)) for k in range(count)))
-
-
-def emit_figure_svg(record: TrajectoryRecord, sink: TextIO, baseline_count: int = 12) -> None:
+def emit_figure_svg(record: TrajectoryRecord, sink: TextIO) -> None:
     """Render one engagement as SVG: paths plus light baseline segments.
 
     The y axis is flipped so the figure reads in the usual orientation.
-    Output depends only on the record and baseline_count.
+    Output depends only on the record.
     """
     pxs, pys, exs, eys = record.px, record.py, record.ex, record.ey
     sw = _svg_open(sink, (pxs, exs), (pys, eys))
     write = sink.write
     n = record.n_samples
-    for i in _baseline_indices(n, baseline_count):
+    # Evenly spaced sample indices: they never decrease, so dropping repeats keeps their order.
+    last = _FIGURE_BASELINES - 1
+    for i in dict.fromkeys(round(k * (n - 1) / last) for k in range(last + 1) if n):
         write(
             f'<line x1="{_fmt(pxs[i])}" y1="{_fmt(-pys[i])}" '
             f'x2="{_fmt(exs[i])}" y2="{_fmt(-eys[i])}" '

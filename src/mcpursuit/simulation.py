@@ -99,14 +99,16 @@ def simulate(
     the initial state. At each sample the termination conditions are checked
     in order: capture when the baseline length is at or below the capture
     radius, then the time limit once t reaches t_max (to within half a sample
-    interval). A non-finite state or a control evaluation that blows up ends
-    the run with termination "non_finite"; the offending sample is not
-    recorded. Controls recorded at a sample are the ones steering the step
-    that leaves it: they are handed to that step as its RK4 stage 1, so each
-    control is evaluated once per stage, sampled or not. The stride - 1
-    unsampled steps after it are one call of the law's dynamics.rk4_loop.
-    There is no other path: a run is steered only by the scenario's law and
-    program records.
+    interval). A sample whose state or controls are not finite ends the run
+    with termination "non_finite" and is not recorded. A control or metric
+    that raises ends the run the same way at a sample as inside the step
+    into it: ZeroBaseline as "capture", ValueError, OverflowError or
+    ZeroDivisionError as "non_finite". Controls recorded at a sample are
+    the ones steering the step that leaves it: they are handed to that step
+    as its RK4 stage 1, so each control is evaluated once per stage, sampled
+    or not. The stride - 1 unsampled steps after it are one call of the
+    law's dynamics.rk4_loop. There is no other path: a run is steered only
+    by the scenario's law and program records.
 
     A long strided run moves its evader to a second CPU. At the first
     sample at or past step _SPLIT_AFTER (2**15), if sample_stride > 1 and
@@ -180,23 +182,58 @@ def simulate(
     rows = None  # the worker's rows, until its stream ends
     try:
         while True:
-            t = k * h
-            cp = cos(pth)
-            sp = sin(pth)
-            ce = cos(eth)
-            se = sin(eth)
-            rx = px - ex
-            ry = py - ey
-            drx = cp - nu * ce
-            dry = sp - nu * se
             try:
+                if k:
+                    # The step leaving the last sample reuses its controls as RK4 stage 1.
+                    px, py, pth, ex, ey, eth = step(
+                        t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
+                    )
+                    if stride > 1:
+                        j = k - stride + 1  # the first of the stride - 1 unsampled steps
+                        if j > split_at:  # the sample left is at or past split_at
+                            split_at = math.inf  # one worker at most per run
+                            if scenario_io._can_fork():
+                                evade, pursue, row = rk4_split(type(law))
+                                # The worker stops past the last step the run can reach.
+                                worker = _fork_evader(evade, j, math.ceil(t_max / h) + 2 * stride,
+                                                      ex, ey, eth, h, nu, ue_fn)
+                                if worker is not None:
+                                    rows = _rows(worker[1], row)
+                        if rows is not None:
+                            qx, qy, qth = pursue(law, rows, stride - 1, px, py, pth, h, nu)
+                            # The next sample's step starts from the evader's state in its row.
+                            start = next(rows, None)
+                            if start is None:
+                                rows = None  # the stream ended short: this stretch runs in process
+                            else:
+                                px, py, pth = qx, qy, qth
+                                ex, ey, eth = start[0], start[1], start[2]
+                        if rows is None:
+                            px, py, pth, ex, ey, eth = run(
+                                law, j, stride - 1, px, py, pth, ex, ey, eth, h, nu, ue_fn
+                            )
+                t = k * h
+                cp = cos(pth)
+                sp = sin(pth)
+                ce = cos(eth)
+                se = sin(eth)
+                rx = px - ex
+                ry = py - ey
+                drx = cp - nu * ce
+                dry = sp - nu * se
                 rn, _, g, w, los, res = metrics(rx, ry, drx, dry)
                 ue0 = ue_fn(t)
                 up0 = up_fn(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue0)
             except ZeroBaseline:
                 termination = TERMINATION_CAPTURE
                 break
-            if not (isfinite(up0) and isfinite(ue0)):
+            except (ValueError, OverflowError, ZeroDivisionError):
+                termination = TERMINATION_NON_FINITE
+                break
+            if not (
+                isfinite(px) and isfinite(py) and isfinite(pth) and isfinite(ex)
+                and isfinite(ey) and isfinite(eth) and isfinite(up0) and isfinite(ue0)
+            ):
                 termination = TERMINATION_NON_FINITE
                 break
             col_t(t)
@@ -221,49 +258,8 @@ def simulate(
                 termination = TERMINATION_CAPTURE
                 break
             if t >= t_max - half_sample:
-                termination = TERMINATION_TIME_LIMIT
-                break
-            try:
-                # The step leaving the sample reuses its controls as RK4 stage 1.
-                px, py, pth, ex, ey, eth = step(
-                    t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
-                )
-                if stride > 1:
-                    if k >= split_at:
-                        split_at = math.inf  # one worker at most per run
-                        if scenario_io._can_fork():
-                            evade, pursue, row = rk4_split(type(law))
-                            # The worker stops past the last step the run can reach.
-                            worker = _fork_evader(evade, k + 1, math.ceil(t_max / h) + 2 * stride,
-                                                  ex, ey, eth, h, nu, ue_fn)
-                            if worker is not None:
-                                rows = _rows(worker[1], row)
-                    if rows is not None:
-                        qx, qy, qth = pursue(law, rows, stride - 1, px, py, pth, h, nu)
-                        # The next sample's step starts from the evader's state in its row.
-                        start = next(rows, None)
-                        if start is None:
-                            rows = None  # the stream ended short: this stretch runs in process
-                        else:
-                            px, py, pth = qx, qy, qth
-                            ex, ey, eth = start[0], start[1], start[2]
-                    if rows is None:
-                        px, py, pth, ex, ey, eth = run(
-                            law, k + 1, stride - 1, px, py, pth, ex, ey, eth, h, nu, ue_fn
-                        )
-                k += stride
-            except ZeroBaseline:
-                termination = TERMINATION_CAPTURE
-                break
-            except (ValueError, OverflowError, ZeroDivisionError):
-                termination = TERMINATION_NON_FINITE
-                break
-            if not (
-                isfinite(px) and isfinite(py) and isfinite(pth)
-                and isfinite(ex) and isfinite(ey) and isfinite(eth)
-            ):
-                termination = TERMINATION_NON_FINITE
-                break
+                break  # termination stays time_limit
+            k += stride
     finally:
         if worker is not None:
             worker[1].close()

@@ -220,3 +220,41 @@ def test_validate_catches_tampered_certificates():
         dataclasses.replace(cert, c1=cert.c1 * 2.0).validate()
     with pytest.raises(ValueError):
         dataclasses.replace(cert, T=cert.T + 1.0).validate()
+
+
+def _consistent(cert, **changes):
+    """cert with the changes and mu recomputed from them, so that mu's check passes."""
+    c = dataclasses.replace(cert, **changes)
+    c0 = c.c2 + c.c1 / math.sqrt(c.epsilon)
+    return dataclasses.replace(c, mu=((1.0 + c.nu) / (1.0 - c.nu)) * ((1.0 + c.nu) / c.r0 + c0))
+
+
+# The damping condition sets c0 in _SHARP; in _CALM (c1 = 0) the arrival condition does.
+_SHARP = design_certificate(nu=0.6, u_e_max=0.2, gamma0=0.3, r_init=40.0)
+_CALM = design_certificate(nu=0.6, u_e_max=0.0, gamma0=0.3, r_init=40.0)
+_MET = design_certificate(nu=0.8, u_e_max=0.0, gamma0=-0.995, r_init=20.0)
+
+
+@pytest.mark.parametrize("cert, error, message", [
+    (dataclasses.replace(_SHARP, nu=1.0), InvalidSpeedRatio, "nu out of"),
+    (dataclasses.replace(_SHARP, u_e_max=-0.1), ValueError, "u_e_max negative"),
+    (dataclasses.replace(_SHARP, gamma0=1.0), DegenerateStart, "gamma0 out of"),
+    (dataclasses.replace(_SHARP, r0=_SHARP.r_init), InvalidGeometry, "need 0 < r0 < r_init"),
+    (dataclasses.replace(_SHARP, epsilon=0.0), ValueError, "epsilon out of"),
+    (dataclasses.replace(_SHARP, epsilon=1.5), ValueError, "epsilon out of"),
+    (_consistent(_SHARP, c2=0.5 * _SHARP.c2), ValueError, "damping condition violated"),
+    (dataclasses.replace(_MET, T=1.0), ValueError, "must have T = 0"),
+    (_consistent(_MET, c2=-1e-13), ValueError, "c2 negative"),
+    (_consistent(_CALM, epsilon=0.95), ValueError, "exceeds admissible band"),
+    (_consistent(_CALM, c2=0.0), ValueError, "c2 must be positive"),
+    (_consistent(_CALM, c2=0.5 * _CALM.c2), ValueError, "arrival condition violated"),
+], ids=["nu", "u_e_max", "gamma0", "r0", "epsilon_zero", "epsilon_over_one", "damping",
+        "met_T", "met_c2", "band", "c2_zero", "arrival"])
+def test_validate_names_the_broken_condition(cert, error, message):
+    with pytest.raises(error, match=message):
+        cert.validate()
+
+
+def test_the_untampered_certificates_validate():
+    for cert in (_SHARP, _CALM, _MET):
+        cert.validate()

@@ -155,6 +155,15 @@ def test_camouflage_rejects_zero_baseline_samples():
         camouflage_test(rec, tol=1.0)
 
 
+@pytest.mark.parametrize("px, message", [([], "empty record has no baseline"),
+                                         ([0.0, 10.0], "initial baseline has zero length")],
+                         ids=["empty", "zero_start"])
+def test_camouflage_needs_an_initial_baseline(px, message):
+    rec = _synthetic_record(px=px, py=[0.0] * len(px), ex=[0.0] * len(px), ey=[0.0] * len(px))
+    with pytest.raises(ZeroBaseline, match=message):
+        camouflage_test(rec, tol=1.0)
+
+
 def test_envelope_frozen_value_and_monotonicity():
     assert gamma_envelope(0.5, 0.1, 2.0) == math.tanh(math.atanh(0.5) - 0.2)
     assert gamma_envelope(0.5, 0.1, 0.0) == pytest.approx(0.5, rel=1e-15)
@@ -224,6 +233,13 @@ def test_check_envelope_passes_a_truncated_record():
         },
     )
     assert check_envelope(short, cert)
+
+
+def test_check_envelope_rejects_an_empty_record():
+    record, cert = _certified_run()
+    empty = TrajectoryRecord(scenario=record.scenario, termination="non_finite")
+    with pytest.raises(ZeroBaseline, match="empty record"):
+        check_envelope(empty, cert)
 
 
 def test_check_envelope_rejects_mismatched_runs():

@@ -185,6 +185,7 @@ FIRST_FAULTS = [
      "line 12: key 't_max': expected a finite number, got 'soon'"),
     (BASE_TEXT, {"sample_stride": "2.5"}, ParseError,
      "override key 'sample_stride': expected an integer, got '2.5'"),
+    (BASE_TEXT, {"nu": "x", "speed": "1"}, ParseError, "unknown override key 'speed'"),
 ]
 
 
@@ -281,6 +282,26 @@ def test_write_then_parse_recovers_the_config(config):
     again = parse_scenario(text)
     assert again == config
     assert write_scenario(again) == text
+
+
+@pytest.mark.parametrize("label", [" padded ", "two\nlines", "a\x0bb", "a\u2028b", "x\nnu = 0.1"])
+def test_a_label_the_scenario_file_cannot_hold_is_a_validation_error(label):
+    # Each was accepted, then came back stripped or made the file unparseable.
+    with pytest.raises(ValidationError, match="label must be one line"):
+        build_scenario(nu=0.5, pursuer_init=_state(1.0, 0.0, 0.0),
+                       evader_init=_state(0.0, 0.0, 0.0), pursuer_law=MCPG(2.0), label=label)
+
+
+@given(st.text())
+@example("random weave")
+def test_every_label_build_scenario_accepts_is_written_back(label):
+    try:
+        config = build_scenario(nu=0.5, pursuer_init=_state(1.0, 0.0, 0.0),
+                                evader_init=_state(0.0, 0.0, 0.0), pursuer_law=MCPG(2.0),
+                                label=label)
+    except ValidationError:
+        return
+    assert parse_scenario(write_scenario(config)) == config
 
 
 def test_written_floats_survive_exactly():
@@ -437,6 +458,11 @@ def test_overlay_svg_draws_one_pursuer_path_per_record():
     tags = [child.tag.split("}")[-1] for child in root]
     # Three pursuer paths plus the shared evader path.
     assert tags.count("polyline") == 4
+
+
+def test_an_overlay_of_no_records_is_a_validation_error():
+    with pytest.raises(ValidationError, match="at least one record"):
+        emit_overlay_svg([], io.StringIO())
 
 
 def test_scaled_law_multiplies_the_gain():

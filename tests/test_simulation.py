@@ -1,18 +1,22 @@
 """Engagement loop behavior: sampling and termination, under shipped and test-only records."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Steer, Switch, state_at
+from mcpursuit import simulation
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ValidationError
 from mcpursuit.geometry import PlanarVector
-from mcpursuit.guidance import MCPG, PPNG, Constant, Exact, PiecewiseRandom, Sinusoid, Zero
+from mcpursuit.guidance import MCPG, PPNG, Constant, Exact, PiecewiseRandom, Sinusoid, Zero, _Law
 from mcpursuit.metrics import compute_metrics
 from mcpursuit.scenario_io import (
     CSV_COLUMNS,
@@ -23,6 +27,28 @@ from mcpursuit.scenario_io import (
     build_scenario,
 )
 from mcpursuit.simulation import simulate
+
+
+@dataclass(frozen=True)
+class Reciprocal:
+    """u_e = 1 / t, which divides by zero at t = 0."""
+
+    variant: ClassVar[str] = "reciprocal"
+
+    def max_abs_control(self):
+        return 0.0  # unbounded; validation only asks for a finite number
+
+    def scalar_control(self):
+        return lambda t: 1.0 / t
+
+
+@dataclass(frozen=True)
+class Late(_Law):
+    """u_p = g * sqrt(t - 1), which raises ValueError before t = 1."""
+
+    variant: ClassVar[str] = "late"
+    kernel: ClassVar[str] = "g * sqrt(t - 1.0)"
+    g: float
 
 
 def _state(x, y, heading):
@@ -237,6 +263,38 @@ def test_an_infinite_heading_between_samples_ends_the_run_as_non_finite():
     record = simulate(config)
     assert record.termination == TERMINATION_NON_FINITE
     assert list(record.t) == [0.0]
+
+
+@pytest.mark.parametrize("changes", [dict(evader_program=Reciprocal()),
+                                     dict(pursuer_law=Late(1.0))], ids=["program", "law"])
+def test_a_control_that_raises_at_a_sample_ends_the_run_as_non_finite(changes):
+    # The same error inside a step already ended the run this way.
+    record = simulate(_scenario(**changes))
+    assert record.termination == TERMINATION_NON_FINITE
+    assert record.n_samples == 0
+
+
+def test_simulate_calls_the_hooks_the_benchmark_counts(monkeypatch):
+    # bench/layers.py counts steps and control calls by patching these names
+    # on the simulation module, which simulate looks up each time it is called.
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(simulation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(simulation, name, wrapper)
+
+    for name in ("rk4_step_scalars", "scalar_pursuer_control", "scalar_evader_control"):
+        counted(name)
+    h = 0.125
+    record = simulate(_scenario(step_size=h, t_max=27 * h, sample_stride=3, pursuer_law=MCPG(0.1)))
+    assert record.termination == TERMINATION_TIME_LIMIT
+    assert record.n_samples == 10
+    assert calls == {"rk4_step_scalars": 9, "scalar_pursuer_control": 1, "scalar_evader_control": 1}
 
 
 @settings(max_examples=25, deadline=None)
