@@ -53,7 +53,6 @@ from .scenario_io import (
     initial_range,
     initial_state,
     parse_scenario,
-    validate_scenario,
     write_scenario,
     write_trajectory_csv,
 )
@@ -98,9 +97,9 @@ __all__ = [
     "initial_state",
     "parse_scenario",
     "random_level",
+    "required_c2",
     "simulate",
     "stability_step_cap",
-    "validate_scenario",
     "write_scenario",
     "write_trajectory_csv",
 ]

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Tuple
 
-from .errors import McpursuitError, ValidationError
+from .errors import McpursuitError, ParseError, ValidationError
 from .gain_design import GainCertificate, design_certificate
 from .guidance import MCPG, PPNG, Exact, PursuerLaw, gain, scaled, stability_step_cap
 from .metrics import check_envelope, compute_metrics
@@ -68,8 +68,12 @@ def _overrides(args) -> Dict[str, str]:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    with open(args.scenario, "r", encoding="utf-8") as f:
-        text = f.read()
+    with open(args.scenario, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.scenario}: not UTF-8 text at byte {exc.start}") from None
     return parse_scenario_with_overrides(text, _overrides(args))
 
 

@@ -185,6 +185,8 @@ class PiecewiseRandom:
     u_max: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not (math.isfinite(self.dwell) and self.dwell > 0.0):
             raise ValueError(f"dwell must be finite and positive, got {self.dwell}")
         if not (math.isfinite(self.u_max) and self.u_max >= 0.0):

@@ -67,7 +67,7 @@ import os
 import sys
 import threading
 from array import array
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import islice
 from operator import neg
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
@@ -137,18 +137,83 @@ KNOWN_KEYS = frozenset(
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved description of one engagement run."""
+    """Fully resolved description of one engagement run, valid once constructed.
+
+    Construction fills the documented defaults and checks every invariant,
+    raising ValidationError naming the first one violated; so does
+    ``dataclasses.replace``, which constructs a new config. step_size
+    defaults to the stability cap for the law; t_max to twice the initial
+    range over (1 - nu). ``build_scenario`` is this same constructor.
+    """
 
     nu: float
     pursuer_init: ParticleState
     evader_init: ParticleState
     pursuer_law: PursuerLaw
-    evader_program: EvaderProgram
-    step_size: float
-    t_max: float
-    capture_radius: float
-    sample_stride: int
+    evader_program: EvaderProgram = Zero()
+    step_size: Optional[float] = None
+    t_max: Optional[float] = None
+    capture_radius: float = 0.05
+    sample_stride: int = 1
     label: str = ""
+
+    def __post_init__(self) -> None:
+        nu = self.nu
+        if not 0.0 <= nu < 1.0:  # before the defaults, which divide by 1 - nu
+            raise ValidationError(f"nu out of [0, 1): {nu}")
+        if self.step_size is None:
+            # The default step divides by the capture radius for ppng.
+            _check_capture_radius(self.capture_radius)
+            object.__setattr__(self, "step_size",
+                               stability_step_cap(self.pursuer_law, nu, self.capture_radius))
+        if self.t_max is None:
+            object.__setattr__(self, "t_max", 2.0 * initial_range(self) / (1.0 - nu))
+        for name, p in (("pursuer_init", self.pursuer_init), ("evader_init", self.evader_init)):
+            if not math.isfinite(p.heading):
+                raise ValidationError(f"{name}.heading is not finite: {p.heading}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise ValidationError(f"step_size must be finite and positive: {self.step_size}")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0.0):
+            raise ValidationError(f"t_max must be finite and nonnegative: {self.t_max}")
+        _check_capture_radius(self.capture_radius)
+        stride = self.sample_stride
+        # The run computes with the stride as a float, so it must convert to
+        # one; a bool would be written back as True, which the reader rejects.
+        if not (isinstance(stride, int) and not isinstance(stride, bool)
+                and 1 <= stride <= sys.float_info.max):
+            raise ValidationError(f"sample_stride must be an integer >= 1 that fits a float: {stride}")
+        r_init = initial_range(self)
+        if r_init == 0.0:
+            raise ValidationError("coincident initial positions: the baseline has zero length")
+        if not math.isfinite(r_init):
+            raise ValidationError(f"initial range is not finite: {r_init}")
+        bound = self.evader_program.max_abs_control()
+        if not math.isfinite(bound):
+            raise ValidationError("evader program has an unbounded curvature declaration")
+        cap = stability_step_cap(self.pursuer_law, nu, self.capture_radius)
+        if self.step_size > cap * (1.0 + _CAP_SLOP):
+            raise ValidationError(
+                f"step size violates stability cap: step_size={self.step_size}, cap={cap}"
+            )
+        steps = self.t_max / self.step_size
+        if steps > MAX_STEPS:
+            count = math.ceil(steps) if math.isfinite(steps) else steps
+            raise ValidationError(
+                f"t_max / step_size asks for {count} steps, over the limit of MAX_STEPS = {MAX_STEPS}"
+            )
+        if steps > MAX_SAMPLES * stride:  # exact for any integer stride
+            raise ValidationError(
+                f"t_max / (step_size * sample_stride) asks for {math.ceil(steps / stride)} samples, "
+                f"over the limit of MAX_SAMPLES = {MAX_SAMPLES}"
+            )
+        # write_scenario puts the label on one line, and the parser strips it.
+        label = self.label
+        if label != label.strip() or len(label.splitlines()) > 1:
+            raise ValidationError(f"label must be one line without leading or trailing blanks: {label!r}")
+
+
+#: A second name for the constructor, which the scenario builders call.
+build_scenario = ScenarioConfig
 
 
 def initial_state(config: ScenarioConfig) -> EngagementState:
@@ -159,96 +224,6 @@ def initial_range(config: ScenarioConfig) -> float:
     dx = config.pursuer_init.position.x - config.evader_init.position.x
     dy = config.pursuer_init.position.y - config.evader_init.position.y
     return math.sqrt(dx * dx + dy * dy)
-
-
-def build_scenario(
-    nu: float,
-    pursuer_init: ParticleState,
-    evader_init: ParticleState,
-    pursuer_law: PursuerLaw,
-    evader_program: EvaderProgram = Zero(),
-    step_size: Optional[float] = None,
-    t_max: Optional[float] = None,
-    capture_radius: float = 0.05,
-    sample_stride: int = 1,
-    label: str = "",
-) -> ScenarioConfig:
-    """Construct and validate a ScenarioConfig, filling the documented defaults.
-
-    step_size defaults to the stability cap for the law; t_max to twice the
-    initial range over (1 - nu).
-    """
-    _check_nu(nu)  # before the defaults, which divide by 1 - nu
-    if step_size is None:
-        # The default step divides by the capture radius for ppng.
-        _check_capture_radius(capture_radius)
-        step_size = stability_step_cap(pursuer_law, nu, capture_radius)
-    config = ScenarioConfig(
-        nu=nu,
-        pursuer_init=pursuer_init,
-        evader_init=evader_init,
-        pursuer_law=pursuer_law,
-        evader_program=evader_program,
-        step_size=step_size,
-        t_max=t_max,
-        capture_radius=capture_radius,
-        sample_stride=sample_stride,
-        label=label,
-    )
-    if t_max is None:
-        config = replace(config, t_max=2.0 * initial_range(config) / (1.0 - nu))
-    validate_scenario(config)
-    return config
-
-
-def validate_scenario(config: ScenarioConfig) -> None:
-    """Raise ValidationError naming the first violated invariant."""
-    _check_nu(config.nu)
-    for name, p in (("pursuer_init", config.pursuer_init), ("evader_init", config.evader_init)):
-        if not math.isfinite(p.heading):
-            raise ValidationError(f"{name}.heading is not finite: {p.heading}")
-    if not (math.isfinite(config.step_size) and config.step_size > 0.0):
-        raise ValidationError(f"step_size must be finite and positive: {config.step_size}")
-    if not (math.isfinite(config.t_max) and config.t_max >= 0.0):
-        raise ValidationError(f"t_max must be finite and nonnegative: {config.t_max}")
-    _check_capture_radius(config.capture_radius)
-    stride = config.sample_stride
-    # The run computes with the stride as a float, so it must convert to one.
-    if not (isinstance(stride, int) and 1 <= stride <= sys.float_info.max):
-        raise ValidationError(f"sample_stride must be an integer >= 1 that fits a float: {stride}")
-    r_init = initial_range(config)
-    if r_init == 0.0:
-        raise ValidationError("coincident initial positions: the baseline has zero length")
-    if not math.isfinite(r_init):
-        raise ValidationError(f"initial range is not finite: {r_init}")
-    bound = config.evader_program.max_abs_control()
-    if not math.isfinite(bound):
-        raise ValidationError("evader program has an unbounded curvature declaration")
-    cap = stability_step_cap(config.pursuer_law, config.nu, config.capture_radius)
-    if config.step_size > cap * (1.0 + _CAP_SLOP):
-        raise ValidationError(
-            f"step size violates stability cap: step_size={config.step_size}, cap={cap}"
-        )
-    steps = config.t_max / config.step_size
-    if steps > MAX_STEPS:
-        count = math.ceil(steps) if math.isfinite(steps) else steps
-        raise ValidationError(
-            f"t_max / step_size asks for {count} steps, over the limit of MAX_STEPS = {MAX_STEPS}"
-        )
-    if steps > MAX_SAMPLES * stride:  # exact for any integer stride
-        raise ValidationError(
-            f"t_max / (step_size * sample_stride) asks for {math.ceil(steps / stride)} samples, "
-            f"over the limit of MAX_SAMPLES = {MAX_SAMPLES}"
-        )
-    # write_scenario puts the label on one line, and the parser strips it.
-    label = config.label
-    if label != label.strip() or len(label.splitlines()) > 1:
-        raise ValidationError(f"label must be one line without leading or trailing blanks: {label!r}")
-
-
-def _check_nu(nu: float) -> None:
-    if not 0.0 <= nu < 1.0:
-        raise ValidationError(f"nu out of [0, 1): {nu}")
 
 
 def _check_capture_radius(capture_radius: float) -> None:
@@ -292,7 +267,7 @@ _EXPECTED = {_finite_float: "a finite number", int: "an integer"}
 
 
 def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
-    """Read the entries in scenario file order into ``build_scenario``'s arguments.
+    """Read the entries in scenario file order into a ScenarioConfig's arguments.
 
     The first fault met in that order is the one reported: a missing key or
     an unknown variant as a ValidationError, a value that does not convert
@@ -333,7 +308,7 @@ def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
         except ValueError as exc:
             raise ValidationError(f"invalid {prefix.replace('_', ' ')}: {exc}") from exc
     for key in ("step_size", "t_max", "capture_radius", "sample_stride"):
-        if key in entries:  # else build_scenario's default
+        if key in entries:  # else ScenarioConfig's default
             args[key] = read(key, int if key == "sample_stride" else _finite_float)
 
     leftover = min(set(entries) - used, default=None)
@@ -341,7 +316,7 @@ def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
         lineno = entries[leftover][1]
         where = f"line {lineno}: " if lineno > 0 else ""
         raise ValidationError(f"{where}key {leftover!r} does not apply to the selected variants")
-    return build_scenario(**args)
+    return ScenarioConfig(**args)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:

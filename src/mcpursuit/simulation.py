@@ -21,7 +21,6 @@ from .scenario_io import (
     TERMINATION_TIME_LIMIT,
     ScenarioConfig,
     TrajectoryRecord,
-    validate_scenario,
 )
 
 #: Steps a strided run takes in process before its evader may move to a
@@ -129,8 +128,6 @@ def simulate(
     and once at the end of the run, before the termination is set. It must
     not resize the columns.
     """
-    validate_scenario(scenario)
-
     nu = scenario.nu
     h = scenario.step_size
     stride = scenario.sample_stride

@@ -98,6 +98,17 @@ def test_bad_scenario_text_is_a_validation_error(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_a_scenario_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"nu = 0.5\xff\n")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"mcpursuit: {path}: not UTF-8 text at byte 8\n"
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_non_finite_file_value_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "nan.txt"
     path.write_text(FAST_SCENARIO.replace("pursuer_init.x = 3.0", "pursuer_init.x = nan"),

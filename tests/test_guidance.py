@@ -135,6 +135,14 @@ def test_program_parameter_validation():
         PiecewiseRandom(seed=1, dwell=1.0, u_max=-0.5)
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_a_piecewise_random_seed_that_is_not_an_integer_is_rejected(seed):
+    # 1.5 would fail inside random_level; True would be written back as
+    # "True", which the scenario reader rejects.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        PiecewiseRandom(seed=seed, dwell=1.0, u_max=0.5)
+
+
 def test_program_values_and_bounds():
     assert _u_e(Zero(), 3.7) == 0.0
     assert _u_e(Constant(-0.4), 100.0) == -0.4

@@ -253,7 +253,7 @@ def test_check_envelope_rejects_mismatched_runs():
     with pytest.raises(CertificateMismatch):
         check_envelope(record, dataclasses.replace(cert, gamma0=cert.gamma0 + 0.1))
     ppng_record = dataclasses.replace(
-        record, scenario=dataclasses.replace(record.scenario, pursuer_law=PPNG(5.0))
+        record, scenario=dataclasses.replace(record.scenario, pursuer_law=PPNG(0.3))
     )
     with pytest.raises(CertificateMismatch):
         check_envelope(ppng_record, cert)

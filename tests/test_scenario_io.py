@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import textwrap
 import xml.etree.ElementTree as ET
 from array import array
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_columns
+from mcpursuit import scenario_io
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ParseError, ValidationError
 from mcpursuit.geometry import PlanarVector
@@ -35,6 +37,7 @@ from mcpursuit.scenario_io import (
     MAX_SAMPLES,
     MAX_STEPS,
     TERMINATION_TIME_LIMIT,
+    ScenarioConfig,
     TrajectoryRecord,
     build_scenario,
     emit_figure_svg,
@@ -42,7 +45,6 @@ from mcpursuit.scenario_io import (
     parse_scenario,
     parse_scenario_with_overrides,
     summary_dict,
-    validate_scenario,
     write_scenario,
     write_summary_json,
     write_trajectory_csv,
@@ -210,19 +212,17 @@ def test_validate_rejects_bad_configs():
     import dataclasses
 
     with pytest.raises(ValidationError, match="nu"):
-        validate_scenario(dataclasses.replace(good, nu=1.0))
+        dataclasses.replace(good, nu=1.0)
     with pytest.raises(ValidationError, match="step_size"):
-        validate_scenario(dataclasses.replace(good, step_size=0.0))
+        dataclasses.replace(good, step_size=0.0)
     with pytest.raises(ValidationError, match="stability cap"):
-        validate_scenario(dataclasses.replace(good, step_size=good.step_size * 2.0))
+        dataclasses.replace(good, step_size=good.step_size * 2.0)
     with pytest.raises(ValidationError, match="sample_stride"):
-        validate_scenario(dataclasses.replace(good, sample_stride=0))
+        dataclasses.replace(good, sample_stride=0)
     with pytest.raises(ValidationError, match="coincident"):
-        validate_scenario(
-            dataclasses.replace(good, pursuer_init=good.evader_init)
-        )
+        dataclasses.replace(good, pursuer_init=good.evader_init)
     with pytest.raises(ValidationError, match="t_max"):
-        validate_scenario(dataclasses.replace(good, t_max=-1.0))
+        dataclasses.replace(good, t_max=-1.0)
     with pytest.raises(ValidationError, match="heading"):
         build_scenario(
             nu=0.5,
@@ -230,6 +230,16 @@ def test_validate_rejects_bad_configs():
             evader_init=_state(0.0, 0.0, 0.0),
             pursuer_law=MCPG(2.0),
         )
+
+
+def test_build_scenario_is_the_config_constructor():
+    assert build_scenario is ScenarioConfig
+
+
+def test_a_stride_that_is_a_bool_is_a_validation_error():
+    # write_scenario would write it as "True", which the reader rejects.
+    with pytest.raises(ValidationError, match="sample_stride must be an integer"):
+        dataclasses.replace(parse_scenario(BASE_TEXT), sample_stride=True)
 
 
 @pytest.mark.parametrize("nu", [1.0, 1.5])
@@ -484,6 +494,21 @@ def _shipped(name):
         return f.read()
 
 
+def _documented_examples():
+    """The README's example under "## Scenario files" and the scenario_io docstring's."""
+    readme = os.path.join(os.path.dirname(SHIPPED), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    docstring = scenario_io.__doc__.split("Example::\n\n", 1)[1].split("\n\n", 1)[0]
+    return [section.split("```\n", 2)[1], textwrap.dedent(docstring)]
+
+
+@pytest.mark.parametrize("text", _documented_examples(), ids=["readme", "docstring"])
+def test_the_documented_scenario_examples_parse(text):
+    config = parse_scenario(text)
+    assert parse_scenario(write_scenario(config)) == config
+
+
 def test_step_budget_is_checked_before_any_run():
     text = _shipped("straight_chase")
     with pytest.raises(ValidationError, match=r"60000000000 steps.*MAX_STEPS = 100000000"):
@@ -548,4 +573,4 @@ def test_scenario_input_parses_or_fails_cleanly(name, overrides):
         config = parse_scenario_with_overrides(_shipped(name), overrides)
     except (ParseError, ValidationError):
         return
-    validate_scenario(config)
+    assert dataclasses.replace(config) == config

@@ -69,9 +69,8 @@ def _scenario(**kwargs):
 
 
 def test_initial_collision_is_rejected():
-    clash = dataclasses.replace(_scenario(), pursuer_init=_scenario().evader_init)
     with pytest.raises(ValidationError):
-        simulate(clash)
+        dataclasses.replace(_scenario(), pursuer_init=_scenario().evader_init)
 
 
 def test_head_on_run_captures_at_the_closing_speed():
