@@ -237,7 +237,7 @@ def _check_capture_radius(capture_radius: float) -> None:
 
 def _parse_entries(text: str) -> Dict[str, Tuple[str, int]]:
     entries: Dict[str, Tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -23,8 +22,9 @@ from .scenario_io import (
     TrajectoryRecord,
 )
 
-#: Steps a strided run takes in process before its evader may move to a
-#: worker: a shorter run would spend more on the fork than the worker saves.
+#: Steps a strided run must budget, ceil(t_max / step_size), for its evader
+#: to move to a worker: a shorter run would spend more on the fork than the
+#: worker saves.
 _SPLIT_AFTER = 1 << 15
 
 #: Steps whose rows the worker packs into one write down its pipe.
@@ -35,13 +35,18 @@ _CHUNK_STEPS = 1024
 _PIPE_BYTES = 1 << 20
 
 
-def _fork_evader(evade, k, end, ex, ey, eth, h, nu, evader) -> Optional[tuple]:
-    """Start a worker running the evader from step k up to step end - 1.
+def _evader_rows(evade, row: struct.Struct, end, ex, ey, eth, h, nu, evader):
+    """The rows of steps 1 to end - 1, unpacked, from a worker running the evader's half.
 
-    The worker keeps only its pipe open and writes its packed rows down it,
-    _CHUNK_STEPS steps a write. It exits when it is done or its evader half
-    raises, after the rows of the steps before. Returns (pid, the pipe's
-    read end), or None if the fork fails.
+    Nothing happens until the first next(). It then forks, through
+    scenario_io._fork, a worker that keeps only its pipe open and runs
+    ``evade`` from step 0 with the evader's state (ex, ey, eth), writing
+    the rows packed by ``row`` down the pipe, _CHUNK_STEPS steps a write.
+    The worker exits when it is done or its evader half raises, after the
+    rows of the steps before. Step 0 is a sampled step, which the run takes
+    itself, so its row is skipped. The rows stop at the last whole row the
+    stream holds, and at once if the fork fails. Closing the generator or
+    running it to its end kills and reaps the worker.
     """
     read, write = os.pipe()
     try:
@@ -61,30 +66,20 @@ def _fork_evader(evade, k, end, ex, ey, eth, h, nu, evader) -> Optional[tuple]:
                 scenario_io._write_all(write, b"".join(chunk))
             k += n
 
-    pid = scenario_io._fork({write}, lambda: stream(k, ex, ey, eth))
+    pid = scenario_io._fork({write}, lambda: stream(0, ex, ey, eth))
     os.close(write)
-    if pid is None:
-        os.close(read)
-        return None
-    return pid, open(read, "rb")
-
-
-def _rows(pipe, row: struct.Struct):
-    """The rows unpacked from the pipe, read a chunk at a time, up to the
-    last whole row before the stream ends."""
     size = _CHUNK_STEPS * row.size
-
-    def chunks():
-        while True:
-            try:
-                data = pipe.read(size)
-            except OSError:
-                return
-            yield data[:len(data) - len(data) % row.size]
-            if len(data) < size:
-                return
-
-    return itertools.chain.from_iterable(map(row.iter_unpack, chunks()))
+    with open(read, "rb") as pipe:
+        if pid is None:
+            return
+        try:
+            pipe.read(row.size)  # step 0's row
+            while data := pipe.read(size):
+                yield from row.iter_unpack(data[:len(data) - len(data) % row.size])
+        except OSError:
+            pass  # a stream that cannot be read has ended
+        finally:
+            scenario_io._kill(pid)
 
 
 def simulate(
@@ -97,31 +92,35 @@ def simulate(
     The state is sampled every sample_stride integration steps, starting with
     the initial state. At each sample the termination conditions are checked
     in order: capture when the baseline length is at or below the capture
-    radius, then the time limit once t reaches t_max (to within half a sample
-    interval). A sample whose state or controls are not finite ends the run
-    with termination "non_finite" and is not recorded. A control or metric
-    that raises ends the run the same way at a sample as inside the step
-    into it: ZeroBaseline as "capture", ValueError, OverflowError or
-    ZeroDivisionError as "non_finite". Controls recorded at a sample are
-    the ones steering the step that leaves it: they are handed to that step
-    as its RK4 stage 1, so each control is evaluated once per stage, sampled
-    or not. The stride - 1 unsampled steps after it are one call of the
-    law's dynamics.rk4_loop. There is no other path: a run is steered only
-    by the scenario's law and program records.
+    radius, then the time limit at the first sample with
+    t >= t_max - h * sample_stride / 2, the sample nearest t_max, so the end
+    time moves with the stride. If h * sample_stride >= 2 * t_max that is
+    the initial sample, and the run takes no step. A sample whose state or
+    controls are not finite ends the run with termination "non_finite" and
+    is not recorded. A control or metric that raises ends the run the same
+    way at a sample as inside the step into it: ZeroBaseline as "capture",
+    ValueError, OverflowError or ZeroDivisionError as "non_finite". Controls
+    recorded at a sample are the ones steering the step that leaves it: they
+    are handed to that step as its RK4 stage 1, so each control is evaluated
+    once per stage, sampled or not. The stride - 1 unsampled steps after it
+    are one call of the law's dynamics.rk4_loop. There is no other path: a
+    run is steered only by the scenario's law and program records.
 
-    A long strided run moves its evader to a second CPU. At the first
-    sample at or past step _SPLIT_AFTER (2**15), if sample_stride > 1 and
-    scenario_io._can_fork() (two usable CPUs, fork, no other thread), it
-    forks a worker that runs the evader's half of dynamics.rk4_split and
-    streams each step's row down a pipe. The unsampled steps then run the
-    pursuer's half over those rows, which hold exactly what rk4_loop would
-    compute, so the record is the same bit for bit. If the stream ends short
-    (the evader's half raised, or the worker died), the stretch it ended in
-    and every later one run through rk4_loop. The worker is killed and
-    reaped before simulate returns. Like TrajectoryCsvStream's writer, it is
-    forked by scenario_io._fork and keeps only its own pipe. It calls its
-    own copy of the evader program's closure, which must therefore depend on
-    the time alone.
+    A long strided run moves its evader to a second CPU. Before its first
+    step, simulate decides whether the run streams its evader: it does if
+    sample_stride > 1, its step budget ceil(t_max / step_size) is at least
+    _SPLIT_AFTER (2**15), and scenario_io._can_fork() (two usable CPUs,
+    fork, no other thread). Its first unsampled stretch then forks, through
+    _evader_rows, a worker that runs the evader's half of dynamics.rk4_split
+    and streams each step's row down a pipe; a run that ends at its first
+    sample forks nothing. The unsampled steps run the pursuer's half over
+    those rows, which hold exactly what rk4_loop would compute, so the
+    record is the same bit for bit. If the stream ends short (the fork
+    failed, the evader's half raised, or the worker died), the stretch it
+    ended in and every later one run through rk4_loop. The worker is killed
+    and reaped before simulate returns. Like TrajectoryCsvStream's writer,
+    it keeps only its own pipe. It calls its own copy of the evader
+    program's closure, which must therefore depend on the time alone.
 
     ``on_chunk``, if given, is called with the record each time buffered
     samples move into its packed columns: after every RECORD_CHUNK samples
@@ -174,9 +173,12 @@ def simulate(
 
     k = 0
     termination = TERMINATION_TIME_LIMIT
-    split_at = _SPLIT_AFTER  # the step from which the evader may move to a worker
-    worker = None  # the worker's (pid, pipe), once it is started
     rows = None  # the worker's rows, until its stream ends
+    budget = math.ceil(t_max / h)
+    if stride > 1 and budget >= _SPLIT_AFTER and scenario_io._can_fork():
+        evade, pursue, row = rk4_split(type(law))
+        # The worker stops past the last step the run can reach.
+        rows = _evader_rows(evade, row, budget + 2 * stride, ex, ey, eth, h, nu, ue_fn)
     try:
         while True:
             try:
@@ -186,16 +188,6 @@ def simulate(
                         t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
                     )
                     if stride > 1:
-                        j = k - stride + 1  # the first of the stride - 1 unsampled steps
-                        if j > split_at:  # the sample left is at or past split_at
-                            split_at = math.inf  # one worker at most per run
-                            if scenario_io._can_fork():
-                                evade, pursue, row = rk4_split(type(law))
-                                # The worker stops past the last step the run can reach.
-                                worker = _fork_evader(evade, j, math.ceil(t_max / h) + 2 * stride,
-                                                      ex, ey, eth, h, nu, ue_fn)
-                                if worker is not None:
-                                    rows = _rows(worker[1], row)
                         if rows is not None:
                             qx, qy, qth = pursue(law, rows, stride - 1, px, py, pth, h, nu)
                             # The next sample's step starts from the evader's state in its row.
@@ -207,7 +199,8 @@ def simulate(
                                 ex, ey, eth = start[0], start[1], start[2]
                         if rows is None:
                             px, py, pth, ex, ey, eth = run(
-                                law, j, stride - 1, px, py, pth, ex, ey, eth, h, nu, ue_fn
+                                law, k - stride + 1, stride - 1, px, py, pth, ex, ey, eth, h, nu,
+                                ue_fn
                             )
                 t = k * h
                 cp = cos(pth)
@@ -258,9 +251,8 @@ def simulate(
                 break  # termination stays time_limit
             k += stride
     finally:
-        if worker is not None:
-            worker[1].close()
-            scenario_io._kill(worker[0])
+        if rows is not None:
+            rows.close()  # an ended stream has reaped its worker already
 
     flush()
     record.termination = termination

@@ -109,6 +109,47 @@ def test_a_scenario_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_a_scenario_file_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, capsys):
+    plain = _shipped("straight_chase")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + _read(plain))
+    text = _read(plain).decode("utf-8")
+    assert parse_scenario("\ufeff" + text) == parse_scenario(text)
+    for path, out in ((plain, "plain"), (marked, "marked")):
+        assert main(["run", "--figure", "--scenario", str(path),
+                     "--out", str(tmp_path / out)]) == EXIT_OK
+    for name in ("trajectory.csv", "summary.json", "figure.svg"):
+        assert _read(tmp_path / "marked" / name) == _read(tmp_path / "plain" / name)
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_file_offset(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xef\xbb\xbfnu = 0.5\xff\n")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"mcpursuit: {path}: not UTF-8 text at byte 11\n"
+
+
+# A run neither captured nor blown up ends at the first sample with
+# t >= t_max - step_size * sample_stride / 2, so its end time moves with the
+# stride; once step_size * sample_stride >= 2 * t_max that is the initial
+# sample. straight_chase steps 1/60.
+@pytest.mark.parametrize("t_max, stride, samples, final_time", [
+    ("1", 1, 61, 1.0),
+    ("1", 7, 10, 1.05),
+    ("1", 100, 2, 100 / 60),
+    ("30", 100_000_000, 1, 0.0),
+])
+def test_a_time_limited_run_ends_at_the_sample_nearest_t_max(t_max, stride, samples, final_time,
+                                                             tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--scenario", _shipped("straight_chase"), "--out", out,
+                 "--set", f"t_max={t_max}", "--set", f"sample_stride={stride}"]) == EXIT_OK
+    assert f"termination=time_limit samples={samples} " in capsys.readouterr().out
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
+    assert summary["termination"] == "time_limit"
+    assert summary["final_time"] == pytest.approx(final_time)
+
+
 def test_non_finite_file_value_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "nan.txt"
     path.write_text(FAST_SCENARIO.replace("pursuer_init.x = 3.0", "pursuer_init.x = nan"),

@@ -12,7 +12,7 @@ from array import array
 
 import pytest
 
-from mcpursuit import scenario_io, simulation
+from mcpursuit import scenario_io
 from mcpursuit.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mcpursuit.scenario_io import (
     COUNT_BYTES,
@@ -291,20 +291,21 @@ def _open_fds():
 
 def test_a_run_that_forks_the_worker_first_leaves_no_child_and_no_open_file(tmp_path, spawned,
                                                                            monkeypatch, capsys):
-    # At stride 10 the evader worker starts at sample 3,277 (step 2**15 and
-    # a little), the CSV writer at sample 4,096.
+    # At stride 10 the run budgets more than 2**15 steps, so the evader
+    # worker starts at the first stretch; the CSV writer at sample 4,096.
     if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
         pytest.skip("needs /proc/<pid>/fd")
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
     workers = []
-    real = simulation._fork_evader
+    real = scenario_io._fork
 
-    def fork_evader(*args):
-        worker = real(*args)
-        workers.append(worker[0])
-        return worker
+    def fork(keep, body):
+        pid = real(keep, body)
+        if len(keep) == 1:  # the worker keeps its pipe, the CSV writer four
+            workers.append(pid)
+        return pid
 
-    monkeypatch.setattr(simulation, "_fork_evader", fork_evader)
+    monkeypatch.setattr(scenario_io, "_fork", fork)
     overrides = _ppng_overrides(RECORD_CHUNK + 50, stride=10)
     before = _open_fds()
     with warnings.catch_warnings(record=True) as caught:
@@ -335,7 +336,9 @@ def test_a_streamed_run_imports_neither_subprocess_nor_tempfile(tmp_path):
         "    return pid\n"
         "os.fork = fork\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(code, len(forks), 'subprocess' in sys.modules, 'tempfile' in sys.modules)\n"
+        "top = {name.partition('.')[0] for name in sys.modules}\n"
+        "outside = sorted(top - set(sys.stdlib_module_names) - {'__main__', 'mcpursuit'})\n"
+        "print(code, len(forks), 'subprocess' in sys.modules, 'tempfile' in sys.modules, outside)\n"
     )
     argv = ["run", "--scenario", os.path.join(SCENARIOS, "ppng_lateral.txt"),
             "--out", str(tmp_path)]
@@ -345,4 +348,5 @@ def test_a_streamed_run_imports_neither_subprocess_nor_tempfile(tmp_path):
     # Without site, whose .pth files may import either module on their own.
     out = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.split()[-4:] == ["0", "1", "False", "False"]
+    # The last field lists the modules imported from outside the standard library.
+    assert out.stdout.split()[-5:] == ["0", "1", "False", "False", "[]"]

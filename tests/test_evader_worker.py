@@ -54,18 +54,18 @@ def _split(after, chunk=1024, cpus=2):
     """The pids of the workers started, with the start point, the chunk size
     and the CPU count set."""
     forks = []
-    real = simulation._fork_evader
+    real = scenario_io._fork
 
-    def fork_evader(*args):
-        worker = real(*args)
-        if worker:
-            forks.append(worker[0])
-        return worker
+    def fork(keep, body):
+        pid = real(keep, body)
+        if pid and len(keep) == 1:  # the worker keeps its pipe, the CSV writer four
+            forks.append(pid)
+        return pid
 
     with mock.patch.object(simulation, "_SPLIT_AFTER", after), \
             mock.patch.object(simulation, "_CHUNK_STEPS", chunk), \
             mock.patch.object(scenario_io, "_usable_cpus", lambda: cpus), \
-            mock.patch.object(simulation, "_fork_evader", fork_evader):
+            mock.patch.object(scenario_io, "_fork", fork):
         yield forks
 
 
@@ -92,7 +92,8 @@ def _assert_no_children():
                         Linear(0.3, 0.1))),
        st.sampled_from((Zero(), Constant(0.4), Sinusoid(amplitude=0.5, angular_freq=2.0),
                         PiecewiseRandom(seed=3, dwell=0.2, u_max=0.6), Ramp(0.5))),
-       st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=60),
+       st.integers(min_value=2, max_value=25),
+       st.integers(min_value=0, max_value=60) | st.integers(min_value=198, max_value=202),
        st.integers(min_value=1, max_value=50),
        st.floats(min_value=0.3, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0),
        st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.0, max_value=0.9))
@@ -100,17 +101,35 @@ def test_a_split_run_is_bitwise_the_in_process_run(law, program, stride, after, 
                                                    eth, nu):
     config = _scenario(nu=nu, pursuer_init=_state(x, 0.2, pth), evader_init=_state(0.0, 0.0, eth),
                        pursuer_law=law, evader_program=program, sample_stride=stride)
-    with _split(after, chunk) as forks:
+    steps = []
+    real = simulation.rk4_step_scalars
+
+    def step(*args):
+        state = real(*args)
+        steps.append(state)
+        return state
+
+    with _split(after, chunk) as forks, mock.patch.object(simulation, "rk4_step_scalars", step):
         record = simulation.simulate(config)
     _assert_same_record(record, _in_process(config))
-    # The worker starts at the first sample at or past the start point that
-    # the run steps from. The run steps from its last sample when a step
-    # from it raised or went non-finite.
-    stepped_on = (record.termination == TERMINATION_NON_FINITE
-                  or record.termination == TERMINATION_CAPTURE
-                  and record.r_norm[-1] > config.capture_radius)
-    left = record.n_samples - 1 + stepped_on
-    assert len(forks) == any(i * stride >= after for i in range(left))
+    # The worker forks when the run's first step completes, if the stride is
+    # above 1 and the step budget reaches the start point.
+    budget = math.ceil(config.t_max / config.step_size)
+    assert len(forks) == (stride > 1 and budget >= after and bool(steps))
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("stride, termination, samples, forked", [
+    (5, TERMINATION_CAPTURE, 8, 1),  # 35 steps taken, 200 budgeted
+    (400, TERMINATION_TIME_LIMIT, 1, 0),  # the initial sample is the last
+])
+def test_the_step_budget_not_the_steps_taken_decides(stride, termination, samples, forked):
+    config = _scenario(pursuer_init=_state(0.3, 0.0, math.pi), pursuer_law=MCPG(3.0),
+                       sample_stride=stride)
+    with _split(60) as forks:
+        record = simulation.simulate(config)
+    assert (record.termination, record.n_samples, len(forks)) == (termination, samples, forked)
+    _assert_same_record(record, _in_process(config))
     _assert_no_children()
 
 
@@ -227,15 +246,21 @@ def test_the_worker_keeps_only_its_pipe_open(tmp_path):
     assert len(seen) == 1 and len(seen[0]) == 1
 
 
-@pytest.mark.parametrize("why", ["one CPU", "no fork", "a second thread", "stride 1"])
+@pytest.mark.parametrize("why", ["one CPU", "no fork", "fork fails", "a second thread",
+                                 "stride 1"])
 def test_runs_that_may_not_fork_stay_in_process(why, monkeypatch):
     config = _scenario(sample_stride=1 if why == "stride 1" else 5)
     want = _in_process(config)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
+    refused = mock.Mock(side_effect=OSError("fork refused"))
+    fds = f"/proc/{os.getpid()}/fd"
+    before = sorted(os.listdir(fds)) if os.path.isdir(fds) else None
     with _split(10, cpus=1 if why == "one CPU" else 2) as forks:
         if why == "no fork":
             monkeypatch.delattr(os, "fork")
+        if why == "fork fails":
+            monkeypatch.setattr(os, "fork", refused)
         if why == "a second thread":
             thread.start()
         try:
@@ -246,12 +271,17 @@ def test_runs_that_may_not_fork_stay_in_process(why, monkeypatch):
                 thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert not forks
+    assert refused.call_count == (why == "fork fails")
     _assert_same_record(record, want)
+    _assert_no_children()
+    if before is not None:
+        assert sorted(os.listdir(fds)) == before
 
 
 def test_certify_verify_leaves_no_child_and_no_open_file(tmp_path):
-    # The start point after the CSV writer starts (4096 samples of stride
-    # 20), so that its pipe is open when the worker forks.
+    # The worker forks at the first stretch, before the CSV writer starts
+    # (4096 samples of stride 20); the budget, about 627,000 steps, is past
+    # the start point.
     argv = ["certify", "--verify", "--scenario", os.path.join(SCENARIOS, "random_weave.txt"),
             "--out", str(tmp_path)]
     with warnings.catch_warnings(record=True) as caught:
