@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .errors import McpursuitError, ParseError, ValidationError
@@ -147,7 +148,7 @@ def _post_transient_peak(gamma: List[float]) -> Optional[float]:
     settle = floor + SWEEP_SETTLE_FRACTION * (gamma[0] - floor)
     for i, g in enumerate(gamma):
         if g <= settle:
-            return max(gamma[i:]) + 1.0
+            return max(islice(gamma, i, None)) + 1.0
     return None
 
 

@@ -95,10 +95,12 @@ CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
 #: Bytes of one chunk's row count on the CSV writer child's count pipe.
 COUNT_BYTES = 8
 
-#: Samples that ``simulate`` buffers per column before it moves them into the
-#: record's packed columns; also the fewest rows that TrajectoryCsvStream
-#: hands to its writer child.
-RECORD_CHUNK = 4096
+#: The one chunk size of every streamed stage: samples ``simulate`` buffers
+#: per column before packing them, rows the CSV writers format per write,
+#: polyline points the SVG writers format per write, and the fewest rows for
+#: which TrajectoryCsvStream forks its writer child (a fork, 5-10 ms, costs
+#: about what formatting this many rows does).
+RECORD_CHUNK = 1024
 
 #: Most integration steps a scenario may ask for: ceil(t_max / step_size).
 #: At about 160k steps per second this is some ten minutes of integration.
@@ -108,9 +110,6 @@ MAX_STEPS = 10**8
 #: sample_stride)); the record holds at most one more. The 14 packed columns
 #: of 10**7 samples take about 1.1 GB.
 MAX_SAMPLES = 10**7
-
-#: Polyline points formatted and written per chunk by the SVG writers.
-_POINTS_CHUNK = 4096
 
 #: Baseline segments drawn in a figure, at evenly spaced sample indices.
 _FIGURE_BASELINES = 12
@@ -678,7 +677,7 @@ def _write_polyline(sink: TextIO, xs: Sequence[float], ys: Sequence[float], styl
     write(f'<polyline fill="none" {style} points="')
     points = map("%.6g,%.6g".__mod__, zip(xs, map(neg, ys)))
     sep = ""
-    while chunk := list(islice(points, _POINTS_CHUNK)):
+    while chunk := list(islice(points, RECORD_CHUNK)):
         write(sep + " ".join(chunk))
         sep = " "
     write('"/>\n')

@@ -12,7 +12,7 @@ from array import array
 
 import pytest
 
-from mcpursuit import scenario_io
+from mcpursuit import scenario_io, simulation
 from mcpursuit.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mcpursuit.scenario_io import (
     COUNT_BYTES,
@@ -103,13 +103,15 @@ def test_run_csv_matches_the_in_process_writer(n, tmp_path, spawned, capsys):
 
 def test_non_finite_run_csv_matches_the_in_process_writer(tmp_path, spawned, capsys):
     # An evader turn rate near the largest double overflows the RK4 sum once
-    # |sin| passes about 0.3, some 6,000 steps into this run.
+    # |sin| passes about 0.3, at step 6,360 of this run's 10,000, which stride
+    # 4 records as sample 1,590, inside the second chunk. The budget is under
+    # simulation._SPLIT_AFTER, so no evader worker forks.
     overrides = {
         "evader_program.amplitude": "1e308",
         "evader_program.angular_freq": "0.02",
         "evader_program.phase": "0",
         "pursuer_init.x": "30",
-        "sample_stride": "1",
+        "sample_stride": "4",
         "t_max": "30",
     }
     assert _run("sine_weave", overrides, tmp_path) == EXIT_NUMERICAL
@@ -291,8 +293,9 @@ def _open_fds():
 
 def test_a_run_that_forks_the_worker_first_leaves_no_child_and_no_open_file(tmp_path, spawned,
                                                                            monkeypatch, capsys):
-    # At stride 10 the run budgets more than 2**15 steps, so the evader
-    # worker starts at the first stretch; the CSV writer at sample 4,096.
+    # The stride makes the run budget more than simulation._SPLIT_AFTER
+    # steps, so the evader worker starts at the first stretch; the CSV writer
+    # at sample RECORD_CHUNK.
     if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
         pytest.skip("needs /proc/<pid>/fd")
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
@@ -306,7 +309,8 @@ def test_a_run_that_forks_the_worker_first_leaves_no_child_and_no_open_file(tmp_
         return pid
 
     monkeypatch.setattr(scenario_io, "_fork", fork)
-    overrides = _ppng_overrides(RECORD_CHUNK + 50, stride=10)
+    stride = -(-simulation._SPLIT_AFTER // RECORD_CHUNK)
+    overrides = _ppng_overrides(RECORD_CHUNK + 50, stride=stride)
     before = _open_fds()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)

@@ -280,8 +280,8 @@ def test_runs_that_may_not_fork_stay_in_process(why, monkeypatch):
 
 def test_certify_verify_leaves_no_child_and_no_open_file(tmp_path):
     # The worker forks at the first stretch, before the CSV writer starts
-    # (4096 samples of stride 20); the budget, about 627,000 steps, is past
-    # the start point.
+    # (RECORD_CHUNK samples of stride 20); the budget, about 627,000 steps,
+    # is past the start point.
     argv = ["certify", "--verify", "--scenario", os.path.join(SCENARIOS, "random_weave.txt"),
             "--out", str(tmp_path)]
     with warnings.catch_warnings(record=True) as caught:
