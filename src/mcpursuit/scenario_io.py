@@ -95,11 +95,13 @@ CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
 #: Bytes of one chunk's row count on the CSV writer child's count pipe.
 COUNT_BYTES = 8
 
-#: The one chunk size of every streamed stage: samples ``simulate`` buffers
-#: per column before packing them, rows the CSV writers format per write,
-#: polyline points the SVG writers format per write, and the fewest rows for
-#: which TrajectoryCsvStream forks its writer child (a fork, 5-10 ms, costs
-#: about what formatting this many rows does).
+#: The one chunk size of every streamed stage: samples ``simulate`` packs
+#: into one chunk before moving them into the record's columns, rows an
+#: evader worker writes per pipe write and its parent reads into one buffer,
+#: rows the CSV writers format per write, polyline points the SVG writers
+#: format per write, and the fewest rows for which TrajectoryCsvStream forks
+#: its writer child (a fork, 5-10 ms, costs about what formatting this many
+#: rows does).
 RECORD_CHUNK = 1024
 
 #: Most integration steps a scenario may ask for: ceil(t_max / step_size).

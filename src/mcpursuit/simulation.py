@@ -27,9 +27,6 @@ from .scenario_io import (
 #: worker saves.
 _SPLIT_AFTER = 1 << 15
 
-#: Steps whose rows the worker packs into one write down its pipe.
-_CHUNK_STEPS = 1024
-
 #: Bytes the worker's pipe is asked to hold, some 7,000 MCPG rows: with the
 #: default 64 KiB a pause of either process soon stalls the other.
 _PIPE_BYTES = 1 << 20
@@ -41,12 +38,14 @@ def _evader_rows(evade, row: struct.Struct, end, ex, ey, eth, h, nu, evader):
     Nothing happens until the first next(). It then forks, through
     scenario_io._fork, a worker that keeps only its pipe open and runs
     ``evade`` from step 0 with the evader's state (ex, ey, eth), writing
-    the rows packed by ``row`` down the pipe, _CHUNK_STEPS steps a write.
+    the rows packed by ``row`` down the pipe, RECORD_CHUNK steps a write.
     The worker exits when it is done or its evader half raises, after the
-    rows of the steps before. Step 0 is a sampled step, which the run takes
-    itself, so its row is skipped. The rows stop at the last whole row the
-    stream holds, and at once if the fork fails. Closing the generator or
-    running it to its end kills and reaps the worker.
+    rows of the steps before. Each read fills one buffer of RECORD_CHUNK
+    rows, allocated once, and the rows are unpacked from a view of it. Step
+    0 is a sampled step, which the run takes itself, so its row is skipped.
+    The rows stop at the last whole row the stream holds, and at once if the
+    fork fails. Closing the generator or running it to its end kills and
+    reaps the worker.
     """
     read, write = os.pipe()
     try:
@@ -58,7 +57,7 @@ def _evader_rows(evade, row: struct.Struct, end, ex, ey, eth, h, nu, evader):
 
     def stream(k, ex, ey, eth):
         while k < end:
-            n = min(_CHUNK_STEPS, end - k)
+            n = min(RECORD_CHUNK, end - k)
             chunk = []
             try:
                 ex, ey, eth = evade(k, n, ex, ey, eth, h, nu, evader, chunk.append)
@@ -68,14 +67,14 @@ def _evader_rows(evade, row: struct.Struct, end, ex, ey, eth, h, nu, evader):
 
     pid = scenario_io._fork({write}, lambda: stream(0, ex, ey, eth))
     os.close(write)
-    size = _CHUNK_STEPS * row.size
+    data = memoryview(bytearray(RECORD_CHUNK * row.size))
     with open(read, "rb") as pipe:
         if pid is None:
             return
         try:
             pipe.read(row.size)  # step 0's row
-            while data := pipe.read(size):
-                yield from row.iter_unpack(data[:len(data) - len(data) % row.size])
+            while n := pipe.readinto(data):
+                yield from row.iter_unpack(data[:n - n % row.size])
         except OSError:
             pass  # a stream that cannot be read has ended
         finally:
@@ -147,23 +146,24 @@ def simulate(
     eth = scenario.evader_init.heading
 
     record = TrajectoryRecord(scenario=scenario, termination=TERMINATION_TIME_LIMIT)
-    # Samples gather in short list buffers, one per CSV column, and move into
-    # the record's packed columns a chunk at a time: appending a float to a
-    # list is cheaper than appending it to an array('d').
+    # Each sample is packed once, its values in CSV_COLUMNS order, into one
+    # chunk of RECORD_CHUNK rows allocated for the run. flush moves the rows
+    # filled so far into the record's packed columns, one strided copy each.
     columns = tuple(getattr(record, name) for name in CSV_COLUMNS)
-    buffers = tuple([] for _ in columns)
-    (col_t, col_px, col_py, col_pth, col_ex, col_ey, col_eth,
-     col_up, col_ue, col_rn, col_g, col_w, col_los, col_res) = (b.append for b in buffers)
-    pack = struct.pack
+    sample = struct.Struct(f"{len(columns)}d")
+    put = sample.pack_into
+    size = sample.size
+    full = RECORD_CHUNK * size
+    chunk = bytearray(full)
 
-    def flush() -> None:
-        for column, buf in zip(columns, buffers):
-            column.frombytes(pack(f"{len(buf)}d", *buf))
-            buf.clear()
+    def flush(end: int) -> None:
+        filled = memoryview(chunk)[:end].cast("d")
+        for i, column in enumerate(columns):
+            column.frombytes(filled[i::len(columns)].tobytes())
         if on_chunk is not None:
             on_chunk(record)
 
-    room = RECORD_CHUNK
+    at = 0  # bytes of the chunk filled
 
     cos = math.cos
     sin = math.sin
@@ -226,24 +226,11 @@ def simulate(
             ):
                 termination = TERMINATION_NON_FINITE
                 break
-            col_t(t)
-            col_px(px)
-            col_py(py)
-            col_pth(pth)
-            col_ex(ex)
-            col_ey(ey)
-            col_eth(eth)
-            col_up(up0)
-            col_ue(ue0)
-            col_rn(rn)
-            col_g(g)
-            col_w(w)
-            col_los(los)
-            col_res(res)
-            room -= 1
-            if not room:
-                flush()
-                room = RECORD_CHUNK
+            put(chunk, at, t, px, py, pth, ex, ey, eth, up0, ue0, rn, g, w, los, res)
+            at += size
+            if at == full:
+                flush(at)
+                at = 0
             if rn <= capture_radius:
                 termination = TERMINATION_CAPTURE
                 break
@@ -254,6 +241,6 @@ def simulate(
         if rows is not None:
             rows.close()  # an ended stream has reaped its worker already
 
-    flush()
+    flush(at)
     record.termination = termination
     return record

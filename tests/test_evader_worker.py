@@ -50,9 +50,9 @@ def _scenario(**kwargs):
 
 
 @contextmanager
-def _split(after, chunk=1024, cpus=2):
+def _split(after, chunk=scenario_io.RECORD_CHUNK, cpus=2):
     """The pids of the workers started, with the start point, the chunk size
-    and the CPU count set."""
+    (rows per pipe write and samples per record chunk) and the CPU count set."""
     forks = []
     real = scenario_io._fork
 
@@ -63,7 +63,7 @@ def _split(after, chunk=1024, cpus=2):
         return pid
 
     with mock.patch.object(simulation, "_SPLIT_AFTER", after), \
-            mock.patch.object(simulation, "_CHUNK_STEPS", chunk), \
+            mock.patch.object(simulation, "RECORD_CHUNK", chunk), \
             mock.patch.object(scenario_io, "_usable_cpus", lambda: cpus), \
             mock.patch.object(scenario_io, "_fork", fork):
         yield forks

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Steer, Switch, state_at
-from mcpursuit import simulation
+from mcpursuit import scenario_io, simulation
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ValidationError
 from mcpursuit.geometry import PlanarVector
@@ -219,16 +219,35 @@ def test_non_finite_exit_keeps_the_last_partial_chunk():
     assert record.t[-1] == last * h
 
 
-def test_recorded_samples_are_packed():
+@pytest.mark.parametrize("split", [False, True], ids=["in_process", "forked_worker"])
+def test_recorded_samples_are_packed(split, monkeypatch):
     # 14 columns of 8-byte doubles are 112 bytes per sample; a record of
     # float objects in lists would keep about 430. Tracing slows the run
-    # about thirtyfold, so the record is kept short: three chunks, the last
-    # one partial. Beyond what it keeps, the run holds about one chunk of
-    # floats (some 0.35 MB at 1,024 samples); the untraced run first fills
-    # the code caches, so that their memory is not charged to the traced one.
+    # about thirtyfold, so each record is kept short: two or three chunks,
+    # the last one partial. Beyond what it keeps, the run holds one chunk of packed
+    # samples (112 KB at 1,024 samples) and, when its evader runs in a
+    # worker, one chunk of the worker's rows (139 KB); the untraced run first
+    # fills the code caches, so that their memory is not charged to the
+    # traced one.
     h = 2.0 ** -10
-    n = 2 * RECORD_CHUNK + 3
-    config = _scenario(step_size=h, t_max=(n - 1) * h, pursuer_law=MCPG(0.1))
+    if split:
+        if not scenario_io._can_fork():
+            pytest.skip("needs fork, two usable CPUs and no other thread")
+        # A budget of _SPLIT_AFTER steps at stride 2 streams the evader from
+        # a worker; the run captures at sample 1,831, well before its t_max.
+        config = _scenario(step_size=h, t_max=simulation._SPLIT_AFTER * h, sample_stride=2)
+        n, bound = 1831, 0.3e6
+    else:
+        n, bound = 2 * RECORD_CHUNK + 3, 0.2e6
+        config = _scenario(step_size=h, t_max=(n - 1) * h, pursuer_law=MCPG(0.1))
+    forks = []
+    real = scenario_io._fork
+
+    def fork(keep, body):
+        forks.append(real(keep, body))
+        return forks[-1]
+
+    monkeypatch.setattr(scenario_io, "_fork", fork)
     simulate(config)
     tracemalloc.start()
     try:
@@ -239,8 +258,9 @@ def test_recorded_samples_are_packed():
     finally:
         tracemalloc.stop()
     assert record.n_samples == n
+    assert len(forks) == 2 * split
     assert kept / n <= 130.0
-    assert peak - after <= 0.6e6
+    assert peak - after <= bound
 
 
 _GAINS = (MCPG(0.1), Exact(0.1), PPNG(0.001))
