@@ -48,9 +48,9 @@ recovers bit-identical doubles.
 A TrajectoryRecord keeps each of those columns as a packed ``array('d')``, 8
 bytes per value. The CSV and SVG writers stream: they format and write a row
 or a chunk of polyline points at a time and never hold a whole file or a
-whole column of text in memory. TrajectoryCsvStream formats a long run's rows
-in a forked child while the run integrates; ``simulate``'s evader worker is
-started, fed and killed through the same helpers (_can_fork, _fork,
+whole column of text in memory. TrajectoryCsvStream formats a run's packed
+sample rows in a forked child while the run integrates; ``simulate``'s evader
+worker is started, fed and killed through the same helpers (_can_fork, _fork,
 _write_all, _kill).
 
 Summary files are JSON with ``"schema": 1``. Figures are self-contained
@@ -64,6 +64,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import sys
 import threading
 from array import array
@@ -91,6 +92,9 @@ F17 = "%.17g"
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 #: One row as ASCII bytes: bytes %-formatting prints a float as str's does.
 CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
+#: One sample packed as doubles, its values in CSV_COLUMNS order: the row
+#: ``simulate`` packs and TrajectoryCsvStream formats.
+SAMPLE = struct.Struct(f"{len(CSV_COLUMNS)}d")
 
 #: Bytes of one chunk's row count on the CSV writer child's count pipe.
 COUNT_BYTES = 8
@@ -98,10 +102,8 @@ COUNT_BYTES = 8
 #: The one chunk size of every streamed stage: samples ``simulate`` packs
 #: into one chunk before moving them into the record's columns, rows an
 #: evader worker writes per pipe write and its parent reads into one buffer,
-#: rows the CSV writers format per write, polyline points the SVG writers
-#: format per write, and the fewest rows for which TrajectoryCsvStream forks
-#: its writer child (a fork, 5-10 ms, costs about what formatting this many
-#: rows does).
+#: rows the CSV writers format per write, and polyline points the SVG
+#: writers format per write.
 RECORD_CHUNK = 1024
 
 #: Most integration steps a scenario may ask for: ceil(t_max / step_size).
@@ -415,15 +417,10 @@ def f17(v: float) -> str:
     return F17 % v
 
 
-def rows(columns):
-    """The CSV lines, newline included, of equal-length columns of floats, as ASCII bytes."""
-    return map(CSV_ROW.__mod__, zip(*columns))
-
-
 def write_trajectory_csv(record: TrajectoryRecord, sink: TextIO) -> None:
     """Write the record as CSV, RECORD_CHUNK rows at a time; numbers carry 17 significant digits."""
     sink.write(CSV_HEADER)
-    lines = rows(getattr(record, name) for name in CSV_COLUMNS)
+    lines = map(CSV_ROW.__mod__, zip(*(getattr(record, name) for name in CSV_COLUMNS)))
     while chunk := b"".join(islice(lines, RECORD_CHUNK)):
         sink.write(chunk.decode("ascii"))
 
@@ -484,107 +481,98 @@ def _kill(pid: int) -> None:
     os.waitpid(pid, 0)
 
 
+def _csv_lines(rows) -> bytes:
+    """The CSV lines, newline included, of a buffer of packed SAMPLE rows, as ASCII bytes."""
+    return b"".join(map(CSV_ROW.__mod__, SAMPLE.iter_unpack(rows)))
+
+
 def _write_chunks(counts: int, data: int, out: int) -> None:
     """The CSV writer child's loop: write to fd ``out`` the rows that fd ``counts`` announces.
 
-    Each count n, COUNT_BYTES native-endian, takes the next n values of each
-    column, in CSV_COLUMNS order, from the doubles in fd ``data``. Returns
-    when ``counts`` ends; raises EOFError if a count or its chunk is cut short.
+    Each count n, COUNT_BYTES native-endian, takes the next n packed SAMPLE
+    rows, n * SAMPLE.size bytes, from fd ``data``. Returns when ``counts``
+    ends; raises EOFError if a count or its chunk is cut short.
     """
-    width = len(CSV_COLUMNS)
     offset = 0
     # A count is one write of fewer than PIPE_BUF bytes, so it arrives whole.
     while head := os.read(counts, COUNT_BYTES):
         if len(head) != COUNT_BYTES:
             raise EOFError("row count cut short")
         n = int.from_bytes(head, sys.byteorder)
-        size = 8 * width * n
+        size = n * SAMPLE.size
         block = os.pread(data, size, offset)
         if len(block) != size:
             raise EOFError(f"chunk of {n} rows cut short")
         offset += size
-        values = memoryview(block).cast("d")
-        _write_all(out, b"".join(rows(values[i * n:(i + 1) * n] for i in range(width))))
+        _write_all(out, _csv_lines(block))
 
 
 class TrajectoryCsvStream:
     """Writes a run's trajectory CSV to ``path`` while the run integrates.
 
     Use it as a context manager around ``simulate`` and pass ``send`` as its
-    ``on_chunk`` hook. Once the record holds RECORD_CHUNK samples, the stream
-    writes the header and forks a child that runs _write_chunks on the file,
-    a data file and a count pipe. Each call then appends the new rows' raw
-    columns to the data file and their count to the pipe, so ``simulate``
-    never waits for the child. The data file is unlinked as soon as it is
-    opened, so no exit leaves it behind. Leaving the block reaps the child
-    and raises OSError naming the file and the exit status if it failed.
+    ``on_chunk`` hook. The first call creates the file with its header and,
+    if _can_fork(), forks a child that runs _write_chunks on the file, a data
+    file and a count pipe. Each call then appends its packed rows to the
+    data file and their count to the pipe, so ``simulate`` never waits for
+    the child. The data file is unlinked as soon as it is opened, so no exit
+    leaves it behind. Leaving the block reaps the child and raises OSError
+    naming the file and the exit status if it failed.
 
-    If the record stays under one chunk, _can_fork() is false (so for a
-    threaded caller too) or the fork fails, ``write_trajectory_csv`` writes
-    the same bytes on leaving the block instead. If the block raises, the
-    child is killed and a partly written file is removed.
+    If _can_fork() is false (so for a threaded caller too) or the fork
+    fails, each call formats its rows into the file itself, the same bytes.
+    If the block raises, the child is killed and a partly written file is
+    removed; a stream that was never sent rows leaves ``path`` alone.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._record: Optional[TrajectoryRecord] = None
-        self._sent: Optional[int] = None  # rows sent to the child; None until send tries to start it
         self._pid: Optional[int] = None  # the writer child, until it is reaped
         self._fds: List[int] = []  # the data file and the count pipe, until the child stops reading
+        self._out: Optional[int] = None  # the file, while this process formats the rows
         self._opened = False  # whether the stream has created the file at path
 
     def __enter__(self) -> "TrajectoryCsvStream":
         return self
 
-    def send(self, record: TrajectoryRecord) -> None:
-        """Hand over the rows of ``record`` not sent yet; its columns are ``array('d')``."""
-        self._record = record
-        n = len(record.t)
-        if self._sent is None:
-            if n < RECORD_CHUNK:
-                return
-            self._sent = 0
+    def send(self, rows) -> None:
+        """Hand over a buffer of packed SAMPLE rows; it is read before the call returns."""
+        if not self._opened:
             self._start()
-        if n == self._sent or not self._fds:
-            return
-        data, counts = self._fds
-        for name in CSV_COLUMNS:
-            _write_all(data, getattr(record, name)[self._sent:n])
-        try:
-            _write_all(counts, (n - self._sent).to_bytes(COUNT_BYTES, sys.byteorder))
-        except BrokenPipeError:
-            self._close()  # the child has died; leaving the block reports its exit status
-        self._sent = n
+        if self._out is not None:
+            _write_all(self._out, _csv_lines(rows))
+        elif self._fds:
+            data, counts = self._fds
+            _write_all(data, rows)
+            try:
+                _write_all(counts, (len(rows) // SAMPLE.size).to_bytes(COUNT_BYTES, sys.byteorder))
+            except BrokenPipeError:
+                self._close()  # the child has died; leaving the block reports its exit status
 
     def _start(self) -> None:
+        self._out = out = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        self._opened = True
+        _write_all(out, CSV_HEADER.encode("ascii"))
         if not _can_fork():
             return
-        with open(self.path, "wb") as csv:
-            self._opened = True
-            csv.write(CSV_HEADER.encode("ascii"))
-            csv.flush()
-            data_path = f"{self.path}.{os.getpid()}.f64"
-            data = os.open(data_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-            self._fds.append(data)
-            os.unlink(data_path)
-            counts, write = os.pipe()
-            self._fds.append(write)
-            out = csv.fileno()
-            self._pid = _fork({data, counts, out, 2}, lambda: _write_chunks(counts, data, out))
-            os.close(counts)
-        if self._pid is None:
-            self._close()
+        data_path = f"{self.path}.{os.getpid()}.f64"
+        data = os.open(data_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+        self._fds.append(data)
+        os.unlink(data_path)
+        counts, write = os.pipe()
+        self._fds.append(write)
+        self._pid = _fork({data, counts, out, 2}, lambda: _write_chunks(counts, data, out))
+        os.close(counts)
+        if self._pid is not None:  # else the data file and pipe lie unused until the block ends
+            self._out = None
+            os.close(out)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         pid, self._pid = self._pid, None
         done = False
         try:
             self._close()  # the child reads to the end of the counts and exits
-            if exc_type is None and pid is None:
-                self._opened = True
-                with open(self.path, "w", encoding="utf-8", newline="\n") as f:
-                    write_trajectory_csv(self._record, f)
-            elif exc_type is None:
+            if exc_type is None and pid is not None:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 pid = None
                 if status != 0:
@@ -603,6 +591,9 @@ class TrajectoryCsvStream:
         for fd in self._fds:
             os.close(fd)
         self._fds = []
+        out, self._out = self._out, None
+        if out is not None:
+            os.close(out)
 
 
 # ---------------------------------------------------------------------------

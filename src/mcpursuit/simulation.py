@@ -15,6 +15,7 @@ from .metrics import metric_values
 from .scenario_io import (
     CSV_COLUMNS,
     RECORD_CHUNK,
+    SAMPLE,
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
@@ -84,7 +85,7 @@ def _evader_rows(evade, row: struct.Struct, end, ex, ey, eth, h, nu, evader):
 def simulate(
     scenario: ScenarioConfig,
     *,
-    on_chunk: Optional[Callable[[TrajectoryRecord], None]] = None,
+    on_chunk: Optional[Callable[[memoryview], None]] = None,
 ) -> TrajectoryRecord:
     """Integrate one engagement and return its sampled record.
 
@@ -95,15 +96,16 @@ def simulate(
     t >= t_max - h * sample_stride / 2, the sample nearest t_max, so the end
     time moves with the stride. If h * sample_stride >= 2 * t_max that is
     the initial sample, and the run takes no step. A sample whose state or
-    controls are not finite ends the run with termination "non_finite" and
-    is not recorded. A control or metric that raises ends the run the same
-    way at a sample as inside the step into it: ZeroBaseline as "capture",
-    ValueError, OverflowError or ZeroDivisionError as "non_finite". Controls
-    recorded at a sample are the ones steering the step that leaves it: they
-    are handed to that step as its RK4 stage 1, so each control is evaluated
-    once per stage, sampled or not. The stride - 1 unsampled steps after it
-    are one call of the law's dynamics.rk4_loop. There is no other path: a
-    run is steered only by the scenario's law and program records.
+    controls are not finite, or whose baseline length overflows, ends the
+    run with termination "non_finite" and is not recorded. A control or
+    metric that raises ends the run the same way at a sample as inside the
+    step into it: ZeroBaseline as "capture", ValueError, OverflowError or
+    ZeroDivisionError as "non_finite". Controls recorded at a sample are the
+    ones steering the step that leaves it: they are handed to that step as
+    its RK4 stage 1, so each control is evaluated once per stage, sampled or
+    not. The stride - 1 unsampled steps after it are one call of the law's
+    dynamics.rk4_loop. There is no other path: a run is steered only by the
+    scenario's law and program records.
 
     A long strided run moves its evader to a second CPU. Before its first
     step, simulate decides whether the run streams its evader: it does if
@@ -121,10 +123,11 @@ def simulate(
     it keeps only its own pipe. It calls its own copy of the evader
     program's closure, which must therefore depend on the time alone.
 
-    ``on_chunk``, if given, is called with the record each time buffered
-    samples move into its packed columns: after every RECORD_CHUNK samples
-    and once at the end of the run, before the termination is set. It must
-    not resize the columns.
+    ``on_chunk``, if given, is called with a memoryview of the samples just
+    moved into the record's columns, each a packed scenario_io.SAMPLE row:
+    once per RECORD_CHUNK samples and once at the end of the run, that last
+    time with the samples left over, possibly none. The view is released
+    when the call returns, and the buffer behind it is reused.
     """
     nu = scenario.nu
     h = scenario.step_size
@@ -146,22 +149,23 @@ def simulate(
     eth = scenario.evader_init.heading
 
     record = TrajectoryRecord(scenario=scenario, termination=TERMINATION_TIME_LIMIT)
-    # Each sample is packed once, its values in CSV_COLUMNS order, into one
-    # chunk of RECORD_CHUNK rows allocated for the run. flush moves the rows
-    # filled so far into the record's packed columns, one strided copy each.
+    # Each sample is packed once, as a SAMPLE row, into one chunk of
+    # RECORD_CHUNK rows allocated for the run. flush moves the rows filled so
+    # far into the record's packed columns, one strided copy each, and hands
+    # them to on_chunk.
     columns = tuple(getattr(record, name) for name in CSV_COLUMNS)
-    sample = struct.Struct(f"{len(columns)}d")
-    put = sample.pack_into
-    size = sample.size
+    put = SAMPLE.pack_into
+    size = SAMPLE.size
     full = RECORD_CHUNK * size
     chunk = bytearray(full)
 
     def flush(end: int) -> None:
-        filled = memoryview(chunk)[:end].cast("d")
-        for i, column in enumerate(columns):
-            column.frombytes(filled[i::len(columns)].tobytes())
-        if on_chunk is not None:
-            on_chunk(record)
+        with memoryview(chunk)[:end] as filled:
+            values = filled.cast("d")
+            for i, column in enumerate(columns):
+                column.frombytes(values[i::len(columns)].tobytes())
+            if on_chunk is not None:
+                on_chunk(filled)
 
     at = 0  # bytes of the chunk filled
 
@@ -223,6 +227,7 @@ def simulate(
             if not (
                 isfinite(px) and isfinite(py) and isfinite(pth) and isfinite(ex)
                 and isfinite(ey) and isfinite(eth) and isfinite(up0) and isfinite(ue0)
+                and isfinite(rn)
             ):
                 termination = TERMINATION_NON_FINITE
                 break

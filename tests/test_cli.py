@@ -6,13 +6,14 @@ import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_columns
-from mcpursuit import cli
+from mcpursuit import cli, scenario_io
 from mcpursuit.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -406,12 +407,11 @@ def test_sweep_rejects_multipliers_that_share_an_output_dir(scenario_file, tmp_p
 
 
 # Values for --set, --r0 and --gains: malformed, non-finite, overflowing,
-# subnormal and a few valid ones. None of them asks for a long run once
-# t_max is at most 0.5: a step small enough for that is over MAX_STEPS.
+# subnormal and a few valid ones.
 _CLI_VALUES = st.sampled_from(
-    ["0", "-0", "-1", "0.3", "0.9", "1.5", "3", "40", "5e-324", "1e-310", "1e154", "1e308",
-     "-1e308", "12345678901234567890", "", "abc", "nan", "inf", "mcpg", "exact", "ppng",
-     "zero", "constant", "sinusoid", "piecewise_random"]
+    ["0", "-0", "-1", "0.3", "0.9", "1.5", "3", "40", "5e-324", "1e-310", "1e-300", "1e154",
+     "1e297", "1e308", "-1e308", "12345678901234567890", "", "abc", "nan", "inf", "mcpg",
+     "exact", "ppng", "zero", "constant", "sinusoid", "piecewise_random"]
 )
 _GAINS = st.sampled_from(
     ["1", "3", "1,3", "0.5,2", "1e308", "1e-310", "5e-324", "0", "-1", "", "abc", "1,nan", "2,inf"]
@@ -421,13 +421,11 @@ SHIPPED = ("circling_evader", "ppng_lateral", "random_weave", "sine_weave", "str
 
 @st.composite
 def _commands(draw):
-    """argv for one subcommand on a shipped scenario, with random overrides.
-
-    ``certify`` runs without ``--verify``: the certificate, not t_max, sets
-    how long that run is.
-    """
+    """argv for one subcommand on a shipped scenario, with random overrides."""
     command = draw(st.sampled_from(["run", "sweep", "certify", "compare"]))
     argv = [command, "--scenario", _shipped(draw(st.sampled_from(SHIPPED)))]
+    if command == "certify" and draw(st.booleans()):
+        argv.append("--verify")
     if command != "certify" and draw(st.booleans()):
         argv.append("--figure")
     if command == "sweep":
@@ -437,7 +435,22 @@ def _commands(draw):
     keys = st.sampled_from(sorted(KNOWN_KEYS - {"t_max"}))
     for key, value in draw(st.dictionaries(keys, _CLI_VALUES, max_size=3)).items():
         argv += ["--set", f"{key}={value}"]
-    return argv + ["--set", "t_max=" + draw(st.sampled_from(["0", "0.2", "0.5"]))]
+    return argv + ["--set", "t_max=" + draw(st.sampled_from(["0", "0.2", "0.5"]) | _CLI_VALUES)]
+
+
+def _strict_json(path):
+    """Parse the file at ``path`` as JSON, failing on NaN and the infinities."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    with open(path, encoding="utf-8") as f:
+        return json.load(f, parse_constant=reject)
+
+
+# Finite states whose baseline length overflows.
+_BASELINE_OVERFLOW = ["run", "--scenario", _shipped("straight_chase"),
+                      "--set", "pursuer_law.mu=1e-300", "--set", "step_size=1e297",
+                      "--set", "t_max=1e298"]
 
 
 @example(argv=OVERFLOWS[0][0])
@@ -445,11 +458,17 @@ def _commands(draw):
 @example(argv=OVERFLOWS[3][0])
 @example(argv=BAD_PPNG_GAINS[0])
 @example(argv=BAD_PPNG_GAINS[1])
+@example(argv=_BASELINE_OVERFLOW)
+@example(argv=["certify", "--verify", "--scenario", _shipped("straight_chase")])
 @given(argv=_commands())
 @settings(max_examples=300, deadline=None)
 def test_any_command_line_ends_with_a_documented_exit_code(argv):
-    with tempfile.TemporaryDirectory() as out:
+    # With so few steps allowed no run is long, whatever t_max or --verify asks.
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(scenario_io, "MAX_STEPS", 5000):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
             code = main(argv + ["--out", out])
+        for folder, _, files in os.walk(out):
+            for name in {"summary.json", "certificate.json"} & set(files):
+                _strict_json(os.path.join(folder, name))
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO}, err.getvalue()
     assert "Traceback" not in err.getvalue()

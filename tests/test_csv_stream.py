@@ -19,6 +19,7 @@ from mcpursuit.scenario_io import (
     CSV_COLUMNS,
     CSV_HEADER,
     RECORD_CHUNK,
+    SAMPLE,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
     TrajectoryCsvStream,
@@ -84,10 +85,6 @@ def _read(path):
         return f.read()
 
 
-def _writer_expected(n):
-    return n >= RECORD_CHUNK and scenario_io._can_fork()
-
-
 @pytest.mark.parametrize("n", [RECORD_CHUNK - 1, RECORD_CHUNK, 2 * RECORD_CHUNK + 3])
 def test_run_csv_matches_the_in_process_writer(n, tmp_path, spawned, capsys):
     overrides = _ppng_overrides(n)
@@ -95,7 +92,7 @@ def test_run_csv_matches_the_in_process_writer(n, tmp_path, spawned, capsys):
     record, want = _reference_csv("ppng_lateral", overrides)
     assert record.n_samples == n
     assert _read(tmp_path / "trajectory.csv") == want
-    assert len(spawned) == _writer_expected(n)
+    assert len(spawned) == scenario_io._can_fork()
     _assert_reaped(spawned)
     assert sorted(os.listdir(tmp_path)) == ["summary.json", "trajectory.csv"]
     capsys.readouterr()
@@ -119,7 +116,7 @@ def test_non_finite_run_csv_matches_the_in_process_writer(tmp_path, spawned, cap
     assert record.termination == TERMINATION_NON_FINITE
     assert RECORD_CHUNK < record.n_samples < 2 * RECORD_CHUNK
     assert _read(tmp_path / "trajectory.csv") == want
-    assert len(spawned) == _writer_expected(record.n_samples)
+    assert len(spawned) == scenario_io._can_fork()
     _assert_reaped(spawned)
     capsys.readouterr()
 
@@ -181,11 +178,11 @@ def _fails_cleanly(run, capture, spawned):
 def test_a_failing_writer_exits_5_and_leaves_no_csv(tmp_path, spawned, monkeypatch, capfd):
     # The child's row loop raises at its first chunk; the main process's
     # rows are not formatted on this path.
-    def rows(columns):
+    def lines(rows):
         raise ValueError("injected row failure")
 
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(scenario_io, "rows", rows)
+    monkeypatch.setattr(scenario_io, "_csv_lines", lines)
     overrides = _ppng_overrides(2 * RECORD_CHUNK + 3)
     err = _fails_cleanly(lambda: _run("ppng_lateral", overrides, tmp_path), capfd, spawned)
     assert "trajectory.csv" in err and "status 1" in err
@@ -220,15 +217,20 @@ def _record(columns):
     )
 
 
+def _packed(columns):
+    """The rows of equal-length columns, each packed as one SAMPLE row."""
+    return b"".join(SAMPLE.pack(*row) for row in zip(*columns))
+
+
 def _loop(tmp_path, columns, count):
-    """Run the writer child's loop in process: ``columns`` in an unlinked
-    data file, ``count`` down a pipe; return the bytes it wrote."""
+    """Run the writer child's loop in process: the rows of ``columns``
+    packed in an unlinked data file, ``count`` down a pipe; return the bytes
+    it wrote."""
     data = os.open(tmp_path / "chunk.f64", os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
     os.unlink(tmp_path / "chunk.f64")
     read, write = os.pipe()
     try:
-        for column in columns:
-            os.write(data, array("d", column).tobytes())
+        os.write(data, _packed(columns))
         os.write(write, count.to_bytes(COUNT_BYTES, sys.byteorder))
         os.close(write)
         with open(tmp_path / "rows.csv", "wb") as out:
@@ -259,8 +261,8 @@ def test_the_writer_child_keeps_only_its_three_descriptors_and_fd_2(tmp_path, sp
     if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
         pytest.skip("needs /proc/<pid>/fd")
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
-    record = _record([[float(k + j) for k in range(RECORD_CHUNK)]
-                      for j in range(len(CSV_COLUMNS))])
+    columns = [[float(k + j) for k in range(RECORD_CHUNK)] for j in range(len(CSV_COLUMNS))]
+    record = _record(columns)
     sink = io.StringIO()
     write_trajectory_csv(record, sink)
     want = sink.getvalue().encode("ascii")
@@ -268,7 +270,7 @@ def test_the_writer_child_keeps_only_its_three_descriptors_and_fd_2(tmp_path, sp
     held = open(tmp_path / "held", "wb")  # open in the parent at the fork
     try:
         with TrajectoryCsvStream(str(path)) as stream:
-            stream.send(record)
+            stream.send(memoryview(_packed(columns)))
             # Once the chunk is in the file the child waits on the count pipe.
             deadline = time.monotonic() + 30.0
             while os.path.getsize(path) < len(want) and time.monotonic() < deadline:

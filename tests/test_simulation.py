@@ -289,6 +289,16 @@ def test_an_infinite_heading_between_samples_ends_the_run_as_non_finite():
     assert list(record.t) == [0.0]
 
 
+def test_a_baseline_length_that_overflows_ends_the_run_as_non_finite():
+    # One step of 1e297 leaves both states finite but some 1e297 apart on
+    # each axis, so the squared baseline length overflows.
+    config = _scenario(pursuer_law=MCPG(1e-300), step_size=1e297, t_max=1e298)
+    record = simulate(config)
+    assert record.termination == TERMINATION_NON_FINITE
+    assert list(record.t) == [0.0]
+    assert all(math.isfinite(v) for v in record.r_norm)
+
+
 @pytest.mark.parametrize("changes", [dict(evader_program=Reciprocal()),
                                      dict(pursuer_law=Late(1.0))], ids=["program", "law"])
 def test_a_control_that_raises_at_a_sample_ends_the_run_as_non_finite(changes):
