@@ -139,8 +139,9 @@ def _post_transient_peak(gamma: List[float]) -> Optional[float]:
     The transient is taken as over when gamma first closes 95 percent of the
     gap between its starting value and the deepest value it ever reaches, so
     the measurement scales with the run instead of a fixed threshold. A run
-    that never gets below the sweep threshold reports None, and so does an
-    empty record.
+    that never gets below the sweep threshold reports None; an empty record
+    has an infinite floor, so it is such a run. Otherwise settle is at least
+    the floor, so the loop returns by the floor's index at the latest.
     """
     floor = min(gamma, default=math.inf)
     if floor > SWEEP_TRANSIENT_GAMMA:
@@ -149,7 +150,6 @@ def _post_transient_peak(gamma: List[float]) -> Optional[float]:
     for i, g in enumerate(gamma):
         if g <= settle:
             return max(islice(gamma, i, None)) + 1.0
-    return None
 
 
 def _parse_gains(spec: str) -> Dict[str, float]:

@@ -14,37 +14,34 @@ Scalar control convention: the pursuer callable receives
 where (cp, sp) and (ce, se) are the cos/sin of the two headings, already
 computed for the stage; the evader callable receives the stage time only.
 
-The RK4 step is written once, as the source text ``_STEP``. Its four stage
-slots take one control text, written in the convention's plain names and
-renamed to each stage's values (cp2, px2, a2, ...). Four functions are
-compiled from it:
+The RK4 step is written once, as three source texts run in this order: the
+evader's half (its trig, positions, program calls, b and stage times), the
+pursuer's half (its trig, positions and update, with a slot per stage for one
+control text, written in the convention's plain names and renamed to the
+stage's values: cp2, px2, a2, ...) and the evader's move. The evader's half
+reads nothing of the pursuer, because u_e is a function of time alone.
+Four functions are compiled from the texts:
 
 * rk4_step_scalars, one step calling the controls it is given, compiled at
-  import. A caller that already evaluated both controls at the start of the
-  step (simulate does, to record them at a sample) passes them as the two
-  trailing arguments, and stage 1 calls neither again: bitwise the same step.
+  import. A stage-1 control the caller already evaluated (simulate does, to
+  record it at a sample) is passed as a trailing argument and not called again.
 * rk4_loop(law_class), ``n`` steps with the law's kernel inline at each stage;
   only the evader stays a call.
-* rk4_split(law_class), the same steps cut in two halves along the evader/
-  pursuer seam. The evader's half is every statement of ``_STEP`` that sets
-  an evader value (its trig, its positions, its program calls, b, and the
-  stage times); it reads nothing of the pursuer, because u_e is a function
-  of time alone. The pursuer's half is every other statement, the law in the
-  stage slots included. ``rk4_evade`` runs the evader's half and packs each
-  step's row: the evader's state at the step's start and the stage values
-  of the evader's that the pursuer's half reads. ``rk4_pursue`` runs the
-  pursuer's half over those rows. simulate runs the two in two processes.
+* rk4_split(law_class), the same steps in two loops: ``rk4_evade`` runs the
+  evader's half and move and packs each step's row, the evader's values that
+  the pursuer's half reads; ``rk4_pursue`` runs the pursuer's half over those
+  rows. simulate runs the two in two processes.
 
 The last three are compiled on first use and cached per law class. All four
-keep ``_STEP``'s float operations in their order, so they give bitwise the
-same states. law_control(law_class) compiles the law's closure from the same
-kernel text, so ``n`` steps of a loop are bitwise ``n`` rk4_step_scalars
-calls with the closure. A kernel is an expression in rx, ry (pursuer minus
-evader), drx, dry (its rate), rsq = rx*rx + ry*ry, the stage's t, px, py,
-pth, ex, ey, eth, cp, sp, ce, se and ue, nu, sqrt and the law's fields; a
-zero baseline raises ZeroBaseline before it. A field named like a name of
-the generated code (h, nu, t, px, cp1, rows, ...; all of them in _TAKEN) is
-a ValueError: binding it would overwrite that name.
+run the same texts, so they give bitwise the same states. law_control
+compiles the law's closure from the same kernel text, so ``n`` steps of a
+loop are bitwise ``n`` rk4_step_scalars calls with the closure. A kernel is
+an expression in rx, ry (pursuer minus evader), drx, dry (its rate), rsq =
+rx*rx + ry*ry, the stage's t, px, py, pth, ex, ey, eth, cp, sp, ce, se and
+ue, nu, sqrt and the law's fields; a zero baseline raises ZeroBaseline
+before it. A field named like a name of the generated code (h, nu, t, px,
+cp1, rows, ...; all of them in _TAKEN) is a ValueError: binding it would
+overwrite that name.
 """
 
 from __future__ import annotations
@@ -56,6 +53,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass, fields
+from textwrap import indent
 from typing import Callable
 
 from .errors import ZeroBaseline
@@ -80,40 +78,54 @@ class EngagementState:
 
 
 # One RK4 step from (t, px, py, pth, ex, ey, eth) to the state at t + h in the
-# same names. The control text in slot {stageK} sets aK; bK = nu * u_e.
-_STEP = """\
-cp1 = cos(pth); sp1 = sin(pth); ce1 = cos(eth); se1 = sin(eth)  # stage 1 at t
+# same names. The first line is stage 1's program call, which rk4_step_scalars
+# puts under ``if ue1 is None:``. bK = nu * u_e.
+_EVADER_HALF = """\
+ue1 = evader(t)  # stage 1 at t
+ce1 = cos(eth); se1 = sin(eth)
 vce1 = nu * ce1; vse1 = nu * se1
-{stage1}
 b1 = nu * ue1
 t2 = t + half  # stage 2 at t + h/2
-pth2 = pth + half * a1; eth2 = eth + half * b1
-cp2 = cos(pth2); sp2 = sin(pth2); ce2 = cos(eth2); se2 = sin(eth2)
+eth2 = eth + half * b1
+ce2 = cos(eth2); se2 = sin(eth2)
 vce2 = nu * ce2; vse2 = nu * se2
-px2 = px + half * cp1; py2 = py + half * sp1
 ex2 = ex + half * vce1; ey2 = ey + half * vse1
 ue2 = evader(t2)
-{stage2}
 b2 = nu * ue2
-pth3 = pth + half * a2; eth3 = eth + half * b2  # stage 3, also at t + h/2
-cp3 = cos(pth3); sp3 = sin(pth3); ce3 = cos(eth3); se3 = sin(eth3)
+eth3 = eth + half * b2  # stage 3, also at t + h/2
+ce3 = cos(eth3); se3 = sin(eth3)
 vce3 = nu * ce3; vse3 = nu * se3
-px3 = px + half * cp2; py3 = py + half * sp2
 ex3 = ex + half * vce2; ey3 = ey + half * vse2
-{stage3}
 b3 = b2  # u_e is a function of time alone, so stage 3 reuses stage 2's
 t4 = t + h  # stage 4 at t + h
-pth4 = pth + h * a3; eth4 = eth + h * b3
-cp4 = cos(pth4); sp4 = sin(pth4); ce4 = cos(eth4); se4 = sin(eth4)
+eth4 = eth + h * b3
+ce4 = cos(eth4); se4 = sin(eth4)
 vce4 = nu * ce4; vse4 = nu * se4
-px4 = px + h * cp3; py4 = py + h * sp3
 ex4 = ex + h * vce3; ey4 = ey + h * vse3
 ue4 = evader(t4)
-{stage4}
 b4 = nu * ue4
+"""
+# The control text in slot {stageK} sets aK from stage K's values.
+_PURSUER_HALF = """\
+cp1 = cos(pth); sp1 = sin(pth)  # stage 1
+{stage1}
+pth2 = pth + half * a1  # stage 2
+cp2 = cos(pth2); sp2 = sin(pth2)
+px2 = px + half * cp1; py2 = py + half * sp1
+{stage2}
+pth3 = pth + half * a2  # stage 3
+cp3 = cos(pth3); sp3 = sin(pth3)
+px3 = px + half * cp2; py3 = py + half * sp2
+{stage3}
+pth4 = pth + h * a3  # stage 4
+cp4 = cos(pth4); sp4 = sin(pth4)
+px4 = px + h * cp3; py4 = py + h * sp3
+{stage4}
 px = px + h * ((cp1 + 2.0 * (cp2 + cp3) + cp4) / 6.0)
 py = py + h * ((sp1 + 2.0 * (sp2 + sp3) + sp4) / 6.0)
 pth = pth + h * ((a1 + 2.0 * (a2 + a3) + a4) / 6.0)
+"""
+_EVADER_MOVE = """\
 ex = ex + h * (nu * ((ce1 + 2.0 * (ce2 + ce3) + ce4) / 6.0))
 ey = ey + h * (nu * ((se1 + 2.0 * (se2 + se3) + se4) / 6.0))
 eth = eth + h * ((b1 + 2.0 * (b2 + b3) + b4) / 6.0)
@@ -151,8 +163,7 @@ def make(law, nu):
     return control
 """
 
-# The two halves of _LOOP for a split run. The evader's loop packs each step's
-# {row} for put before it moves its state; the pursuer's loop reads them back.
+# _LOOP's two halves for a split run: rk4_evade puts each step's row, rk4_pursue reads it.
 _EVADE = """\
 def rk4_evade(k, n, ex, ey, eth, h, nu, evader, put, pack=pack, cos=cos, sin=sin):
     half = 0.5 * h
@@ -167,14 +178,16 @@ def rk4_pursue(law, rows, n, px, py, pth, h, nu, islice=islice, cos=cos, sin=sin
 {step}    return px, py, pth
 """
 
+
+def _names(text: str) -> list:
+    """The names ``text`` reads or sets, outside comments, slots and strings."""
+    return re.findall(r"[A-Za-z_]\w*", re.sub(r'#.*|\{\w+\}|"[^"]*"', "", text))
+
+
 # Every name the generated code uses besides a kernel's own; a law field may
 # not take one of them, since binding it would overwrite the step's value.
-_TAKEN = frozenset(re.findall(r"[A-Za-z_]\w*", re.sub(
-    r'#.*|\{\w+\}|"[^"]*"', "", _STEP + _LAW + _LOOP + _MAKE + _EVADE + _PURSUE)))
-
-# Targets of the pursuer's statements in _STEP; every other statement is the evader's.
-_PURSUER_TARGET = re.compile(r"(cp|sp|px|py|pth|a)\d*$")
-_UE = "ue = evader(t)\n"
+_TAKEN = frozenset(_names(_EVADER_HALF + _PURSUER_HALF + _EVADER_MOVE + _LAW + _LOOP + _MAKE
+                          + _EVADE + _PURSUE))
 
 
 def _stage(text: str, k: int, t: str, state: str, ue: str) -> str:
@@ -184,15 +197,11 @@ def _stage(text: str, k: int, t: str, state: str, ue: str) -> str:
     return re.sub(r"[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), text)
 
 
-def _step_body(first: str, control: str, indent: str) -> str:
-    """``_STEP`` with ``first`` in stage 1's slot and ``control`` in the others."""
+def _pursuer_half(first: str, control: str) -> str:
+    """``_PURSUER_HALF`` with ``first`` in stage 1's slot and ``control`` in the others."""
     slots = {f"stage{k}": _stage(first if k == 1 else control, k, *names).rstrip()
              for k, *names in _STAGES}
-    return _indent(_STEP.format(**slots), indent)
-
-
-def _indent(text: str, prefix: str) -> str:
-    return re.sub(r"(?m)^(?=.)", prefix, text)
+    return _PURSUER_HALF.format(**slots)
 
 
 def _compile(source: str, filename: str, name: str, **names) -> Callable:
@@ -218,16 +227,15 @@ _CALL = "a = pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue)\n"
 rk4_step_scalars = _compile(
     "def rk4_step_scalars(t, px, py, pth, ex, ey, eth, h, nu, pursuer, evader, ue1=None, a1=None):\n"
     "    half = 0.5 * h\n"
-    + _step_body("if a is None:\n    ue = evader(t)\n    " + _CALL, _CALL, "    ")
-    + "    return px, py, pth, ex, ey, eth\n",
-    "<rk4 step>",
-    "rk4_step_scalars",
-)
+    + indent("if ue1 is None:\n    " + _EVADER_HALF
+             + _pursuer_half("if a is None:\n    " + _CALL, _CALL) + _EVADER_MOVE, "    ")
+    + "    return px, py, pth, ex, ey, eth\n", "<rk4 step>", "rk4_step_scalars")
 rk4_step_scalars.__doc__ = """One classical RK4 step; returns the state at t + h.
 
-    ``ue1`` and ``a1`` are the stage-1 controls, if the caller has them (both
-    or neither). Trig of an infinite heading raises ValueError, which simulate
-    turns into a non_finite end."""
+    ``ue1`` and ``a1`` are stage-1 controls the caller has; neither given is
+    evaluated again. The evader's half runs whole first: if both halves would
+    raise, the evader's exception propagates. Trig of an infinite heading
+    raises ValueError, which simulate turns into a non_finite end."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,7 +243,7 @@ def rk4_loop(law_class: type) -> Callable:
     """``loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader)`` runs steps k to
     k + n - 1 (step j starts at t = j*h) under ``law`` and returns the state after them."""
     gains, law = _law_text(law_class)
-    step = _step_body(_UE + law, law, "        ")
+    step = indent(_EVADER_HALF + _pursuer_half(law, law) + _EVADER_MOVE, "        ")
     return _compile(_LOOP.format(gains=gains, step=step), f"<rk4 {law_class.variant}>", "rk4_loop")
 
 
@@ -249,38 +257,21 @@ def rk4_split(law_class: type) -> tuple:
     step's start, then every stage value of the evader's that the law reads.
     ``pursue(law, rows, n, px, py, pth, h, nu)`` runs the pursuer through
     the next n steps, reading the unpacked rows from the iterator ``rows``,
-    and returns its state; it stops early if ``rows`` runs out. Both do
-    rk4_loop's float operations in its order, so their states are bitwise
-    rk4_loop's, and a pursuer step raises what rk4_loop raises in a step
-    whose evader half raised nothing.
+    and returns its state; it stops early if ``rows`` runs out. They run
+    rk4_loop's texts, so their states are bitwise rk4_loop's.
     """
     gains, law = _law_text(law_class)
-    evader, pursuer = [], []
-    for line in _STEP.splitlines():
-        code = line.split("#")[0].strip()
-        slot = re.fullmatch(r"\{stage(\d)\}", code)
-        if slot:
-            k, *at = _STAGES[int(slot[1]) - 1]
-            if k == 1:
-                evader.append(_stage(_UE, k, *at).strip())
-            pursuer.append(_stage(law, k, *at).rstrip())
-            continue
-        for statement in code.split("; "):
-            target = statement.split(" = ")[0]
-            (pursuer if _PURSUER_TARGET.match(target) else evader).append(statement)
+    pursuer = _pursuer_half(law, law)
     # The evader's values that the pursuer reads, after the state they start from.
     state = ("ex", "ey", "eth")
-    made = {"t", *state}.union(s.split(" = ")[0] for s in evader)
-    read = re.findall(r"[A-Za-z_]\w*", re.sub(r'"[^"]*"', "", "\n".join(pursuer)))
-    values = tuple(dict.fromkeys(state + tuple(n for n in read if n in made)))
+    made = {"t", *state, *re.findall(r"(\w+) = ", _EVADER_HALF)}
+    values = tuple(dict.fromkeys(state + tuple(n for n in _names(pursuer) if n in made)))
     names = ", ".join(values)
     row = struct.Struct(f"{len(values)}d")
-    # The row leaves before the last three statements move the evader's state.
-    evader.insert(-3, f"put(pack({names}))")
-    evade = _compile(_EVADE.format(step=_indent("\n".join(evader) + "\n", "        ")),
+    evader = _EVADER_HALF + f"put(pack({names}))\n" + _EVADER_MOVE
+    evade = _compile(_EVADE.format(step=indent(evader, "        ")),
                      f"<evade {law_class.variant}>", "rk4_evade", pack=row.pack)
-    pursue = _compile(_PURSUE.format(gains=gains, row=names,
-                                     step=_indent("\n".join(pursuer) + "\n", "        ")),
+    pursue = _compile(_PURSUE.format(gains=gains, row=names, step=indent(pursuer, "        ")),
                       f"<pursue {law_class.variant}>", "rk4_pursue")
     return evade, pursue, row
 
@@ -289,5 +280,5 @@ def rk4_split(law_class: type) -> tuple:
 def law_control(law_class: type) -> Callable:
     """``make(law, nu)``: the law's closure in the scalar control convention."""
     gains, law = _law_text(law_class)
-    return _compile(_MAKE.format(gains=gains, law=_indent(law, "        ")),
+    return _compile(_MAKE.format(gains=gains, law=indent(law, "        ")),
                     f"<control {law_class.variant}>", "make")

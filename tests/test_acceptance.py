@@ -9,12 +9,14 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
 import time
 
 import pytest
 
 from conftest import Steer, csv_columns, scalar_args, state_at
+from mcpursuit.cli import DEFAULT_EPSILON_TARGET
 from mcpursuit.cli import main as cli_main
 from mcpursuit.dynamics import EngagementState, ParticleState
 from mcpursuit.gain_design import design_certificate
@@ -28,6 +30,7 @@ from mcpursuit.guidance import (
     Sinusoid,
     Zero,
     scalar_pursuer_control,
+    stability_step_cap,
 )
 from mcpursuit.metrics import camouflage_test, check_envelope, compute_metrics
 from mcpursuit.scenario_io import (
@@ -35,6 +38,7 @@ from mcpursuit.scenario_io import (
     TERMINATION_CAPTURE,
     TERMINATION_TIME_LIMIT,
     build_scenario,
+    initial_state,
     parse_scenario,
     write_scenario,
     write_trajectory_csv,
@@ -175,6 +179,48 @@ def test_tripling_the_gain_cuts_ripple_about_ninefold():
         ok,
         f"settled-peak ratios sine {ratios['sine']:.3f}, random "
         f"{ratios['random']:.3f}, both in [6, 12], wall {wall:.1f}s",
+    )
+
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+
+def test_band_entry_time_scales_as_one_over_the_gain():
+    # The paper's high-gain limit: in scaled time tau = mu*t the gamma
+    # dynamics become autonomous, so the band entry time t_enter ~ C/mu. Each
+    # shipped geometry flies MCPG at a quarter, one and four times the gain
+    # certify designs, at the stability cap, whose step in tau is 0.1/(1+nu).
+    t0 = time.perf_counter()
+    spread = {}
+    for name in sorted(os.listdir(SCENARIOS)):
+        with open(os.path.join(SCENARIOS, name), encoding="utf-8") as f:
+            config = parse_scenario(f.read())
+        sample = compute_metrics(initial_state(config), config.nu)
+        cert = design_certificate(
+            nu=config.nu, u_e_max=config.evader_program.max_abs_control(),
+            gamma0=sample.gamma, r_init=sample.baseline_len,
+            epsilon_target=DEFAULT_EPSILON_TARGET)
+        scaled_entries = []
+        for m in (0.25, 1.0, 4.0):
+            mu = cert.mu * m
+            law = MCPG(mu)
+            record = simulate(dataclasses.replace(
+                config, pursuer_law=law, sample_stride=1, t_max=40.0 / mu,
+                step_size=stability_step_cap(law, config.nu, config.capture_radius)))
+            t_enter = next((t for t, g in zip(record.t, record.gamma)
+                            if g <= -1.0 + cert.epsilon), math.inf)
+            scaled_entries.append(t_enter * mu)
+        tau_step = 0.1 / (1.0 + config.nu)
+        spread[name] = (scaled_entries, tau_step)
+    wall = time.perf_counter() - t0
+    ok = all(all(map(math.isfinite, entries)) and max(entries) - min(entries) <= tau_step
+             for entries, tau_step in spread.values())
+    _report(
+        "high-gain-entry-time",
+        ok,
+        "t_enter*mu at mu_cert*{1/4, 1, 4}: " + "; ".join(
+            f"{name[:-4]} " + "/".join(f"{v:.4f}" for v in entries) + f" (step {tau_step:.4f})"
+            for name, (entries, tau_step) in spread.items()) + f"; wall {wall:.2f}s",
     )
 
 

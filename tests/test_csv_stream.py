@@ -224,14 +224,16 @@ def _packed(columns):
 
 def _loop(tmp_path, columns, count):
     """Run the writer child's loop in process: the rows of ``columns``
-    packed in an unlinked data file, ``count`` down a pipe; return the bytes
-    it wrote."""
+    packed in an unlinked data file, ``count`` (or its raw bytes) down a
+    pipe; return the bytes it wrote."""
     data = os.open(tmp_path / "chunk.f64", os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
     os.unlink(tmp_path / "chunk.f64")
     read, write = os.pipe()
     try:
         os.write(data, _packed(columns))
-        os.write(write, count.to_bytes(COUNT_BYTES, sys.byteorder))
+        if isinstance(count, int):
+            count = count.to_bytes(COUNT_BYTES, sys.byteorder)
+        os.write(write, count)
         os.close(write)
         with open(tmp_path / "rows.csv", "wb") as out:
             scenario_io._write_chunks(read, data, out.fileno())
@@ -254,6 +256,8 @@ def test_the_writer_loop_matches_the_in_process_rows(tmp_path):
 def test_the_writer_loop_fails_on_a_short_chunk(tmp_path):
     with pytest.raises(EOFError, match="cut short"):
         _loop(tmp_path, [[1.0, 2.0]] * len(CSV_COLUMNS), 3)
+    with pytest.raises(EOFError, match="row count cut short"):
+        _loop(tmp_path, [[1.0, 2.0]] * len(CSV_COLUMNS), b"\x02\x00\x00")
 
 
 def test_the_writer_child_keeps_only_its_three_descriptors_and_fd_2(tmp_path, spawned,

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import subprocess
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Linear, Ramp
+from mcpursuit import dynamics
 from mcpursuit.dynamics import ParticleState, law_control, rk4_loop, rk4_split, rk4_step_scalars
 from mcpursuit.errors import ZeroBaseline
 from mcpursuit.geometry import PlanarVector
@@ -256,6 +258,37 @@ def test_the_split_halves_are_bitwise_the_fused_loop(law, program, state, k0, n,
     # Each row starts with the evader's state at its step's start.
     if rows:
         assert row.unpack(rows[0])[:3] == state[3:]
+
+
+def _names_of(source, context):
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, context)}
+
+
+@pytest.mark.parametrize("law", _LAWS + (Linear(0.3, 0.1),), ids=lambda law: law.variant)
+def test_the_evader_half_reads_nothing_of_the_pursuer(law):
+    # The split runs the evader's texts in a process that never sees the pursuer.
+    _, control = dynamics._law_text(type(law))
+    pursuer = dynamics._pursuer_half(control, control)
+    read = _names_of(dynamics._EVADER_HALF + dynamics._EVADER_MOVE, ast.Load)
+    assert not read & (_names_of(pursuer, ast.Store) | {"px", "py", "pth"})
+
+
+def _evader_raising_after_start(t):
+    if t > 0.0:
+        raise ZeroDivisionError("program undefined after t = 0")
+    return 0.0
+
+
+def test_the_evader_half_runs_before_the_pursuer_half():
+    # The pursuer starts on the evader, so the law raises at stage 1; the
+    # evader program raises at stage 2, in the half that runs first.
+    with pytest.raises(ZeroDivisionError):
+        rk4_loop(MCPG)(MCPG(1.0), 0, 1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1, 0.5,
+                       _evader_raising_after_start)
+    with pytest.raises(ZeroDivisionError):
+        rk4_step_scalars(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1, 0.5,
+                         scalar_pursuer_control(MCPG(1.0), 0.5), _evader_raising_after_start)
 
 
 def test_a_zero_baseline_inside_the_loop_raises_through_it():

@@ -66,6 +66,9 @@ def test_choose_epsilon_caps_at_the_admissible_band():
         choose_epsilon(0.0, 0.0)
     with pytest.raises(ValueError):
         choose_epsilon(1.0, 0.0)
+    for gamma0 in (-1.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="gamma0 out of"):
+            choose_epsilon(0.01, gamma0)
 
 
 @given(
@@ -90,6 +93,12 @@ def test_required_c2_validation():
         required_c2(0.5, 0.0, 0.01, 10.0, 10.0)
     with pytest.raises(InvalidGeometry):
         required_c2(0.5, 0.0, 0.01, 10.0, 0.0)
+    for nu in (-0.1, 1.0, math.nan):
+        with pytest.raises(InvalidSpeedRatio):
+            required_c2(nu, 0.0, 0.01, 10.0, 1.0)
+    for epsilon in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="epsilon out of"):
+            required_c2(0.5, 0.0, epsilon, 10.0, 1.0)
 
 
 def test_design_frozen_example():

@@ -32,6 +32,14 @@ def test_kernel_frozen_example():
     assert w == 1.0
     assert los == 0.5
     assert residual == pytest.approx(0.5, abs=1e-15)
+    # Nearly parallel r and rdot, where rounding puts the quotient at
+    # 1.0000000000000002: gamma is clamped to 1 and the residual to 0.
+    rx, ry = 0.9095578363365777, 1.732340106813079
+    drx, dry = 0.338530879364531, 0.6447645177572456
+    rn, dn, g, _, _, residual = metric_values(rx, ry, drx, dry)
+    assert (rx * drx + ry * dry) / (rn * dn) > 1.0
+    assert g == 1.0
+    assert residual == 0.0
 
 
 def test_kernel_rejects_zero_baseline():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_columns
+from conftest import Switch, csv_columns
 from mcpursuit import scenario_io
 from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ParseError, ValidationError
@@ -223,6 +223,8 @@ def test_validate_rejects_bad_configs():
         dataclasses.replace(good, pursuer_init=good.evader_init)
     with pytest.raises(ValidationError, match="t_max"):
         dataclasses.replace(good, t_max=-1.0)
+    with pytest.raises(ValidationError, match="unbounded curvature declaration"):
+        dataclasses.replace(good, evader_program=Switch(math.inf))
     with pytest.raises(ValidationError, match="heading"):
         build_scenario(
             nu=0.5,
