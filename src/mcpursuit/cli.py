@@ -8,7 +8,6 @@ blow-up, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -33,7 +32,8 @@ from .scenario_io import (
     initial_range,
     initial_state,
     parse_scenario_with_overrides,
-    write_summary_json,
+    summary_dict,
+    write_json,
 )
 from .simulation import simulate
 
@@ -100,8 +100,9 @@ def _simulate_into(
     with TrajectoryCsvStream(os.path.join(outdir, "trajectory.csv")) as csv:
         record = simulate(config, on_chunk=csv.send)
         envelope_ok = None if cert is None else check_envelope(record, cert)
+        summary = summary_dict(record, cert, envelope_ok)
         with _open_out(outdir, "summary.json") as f:
-            summary = write_summary_json(record, f, cert=cert, envelope_ok=envelope_ok)
+            write_json(summary, f)
         if figure:
             with _open_out(outdir, "figure.svg") as f:
                 emit_figure_svg(record, f)
@@ -236,8 +237,7 @@ def _cmd_certify(args) -> int:
             "step_size": step,
         }
     with _open_out(args.out, "certificate.json") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        write_json(payload, f)
     print(
         f"certify: mu={f17(cert.mu)} T={f17(cert.T)} epsilon={f17(cert.epsilon)} "
         f"out={args.out}"

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, List, Tuple
 from .dynamics import EngagementState
 from .errors import CertificateMismatch, DegenerateGamma, ZeroBaseline
 from .geometry import PlanarVector
+from .guidance import MCPG
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .gain_design import GainCertificate
@@ -154,8 +155,6 @@ def check_envelope(record: "TrajectoryRecord", cert: "GainCertificate") -> bool:
     was produced under different parameters than the certificate was issued
     for (speed ratio, MCPG gain, initial range, initial gamma, evader bound).
     """
-    from .guidance import MCPG
-
     scen = record.scenario
     if scen.nu != cert.nu:
         raise CertificateMismatch(f"nu differs: trajectory {scen.nu}, certificate {cert.nu}")

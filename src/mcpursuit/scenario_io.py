@@ -53,10 +53,12 @@ sample rows in a forked child while the run integrates; ``simulate``'s evader
 worker is started, fed and killed through the same helpers (_can_fork, _fork,
 _write_all, _kill).
 
-Summary files are JSON with ``"schema": 1``. Figures are self-contained
-SVG 1.1: solid dark pursuer path, dashed dark evader path, light gray
-baseline segments at evenly spaced sample indices, auto-fitted viewBox with
-a 5 percent margin.
+Both JSON files, summary.json and certificate.json, share one layout,
+written by write_json: sorted keys, two-space indent, a final newline, and
+``"schema": 1``. Figures are self-contained SVG 1.1 with an auto-fitted
+viewBox and a 5 percent margin, drawn by one body: solid pursuer paths over
+a dashed evader path. A run's figure adds light gray baseline segments at
+evenly spaced sample indices; an overlay draws several pursuer paths.
 """
 
 from __future__ import annotations
@@ -81,20 +83,6 @@ from .guidance import LAWS, PROGRAMS, EvaderProgram, PursuerLaw, Zero, stability
 TERMINATION_CAPTURE = "capture"
 TERMINATION_TIME_LIMIT = "time_limit"
 TERMINATION_NON_FINITE = "non_finite"
-
-CSV_COLUMNS = (
-    "t", "px", "py", "ptheta", "ex", "ey", "etheta",
-    "u_p", "u_e", "r_norm", "gamma", "w", "los_rate", "residual",
-)
-
-#: Seventeen significant digits: every double parses back bit-identically.
-F17 = "%.17g"
-CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
-#: One row as ASCII bytes: bytes %-formatting prints a float as str's does.
-CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
-#: One sample packed as doubles, its values in CSV_COLUMNS order: the row
-#: ``simulate`` packs and TrajectoryCsvStream formats.
-SAMPLE = struct.Struct(f"{len(CSV_COLUMNS)}d")
 
 #: Bytes of one chunk's row count on the CSV writer child's count pipe.
 COUNT_BYTES = 8
@@ -125,9 +113,16 @@ _CAP_SLOP = 1e-9
 #: Key prefix of the law and of the program, with their records by variant.
 _VARIANT_TABLES = (("pursuer_law", LAWS), ("evader_program", PROGRAMS))
 
+#: Key prefixes of the two initial states, and the keys under each.
+_STATES = ("pursuer_init", "evader_init")
+_STATE_KEYS = ("x", "y", "heading")
+
+#: Keys of the run, in the order write_scenario writes them; each is optional.
+_RUN_KEYS = ("step_size", "t_max", "capture_radius", "sample_stride")
+
 KNOWN_KEYS = frozenset(
-    ["label", "nu", "step_size", "t_max", "capture_radius", "sample_stride"]
-    + [f"{p}.{c}" for p in ("pursuer_init", "evader_init") for c in ("x", "y", "heading")]
+    ["label", "nu", *_RUN_KEYS]
+    + [f"{p}.{c}" for p in _STATES for c in _STATE_KEYS]
     + [f"{prefix}.variant" for prefix, _ in _VARIANT_TABLES]
     + [
         f"{prefix}.{f.name}"
@@ -293,8 +288,8 @@ def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
             raise ParseError(f"{where} {key!r}: expected {_EXPECTED[kind]}, got {value!r}") from None
 
     args = {"label": read("label", str, ""), "nu": read("nu")}
-    for prefix in ("pursuer_init", "evader_init"):
-        x, y, heading = (read(f"{prefix}.{c}") for c in ("x", "y", "heading"))
+    for prefix in _STATES:
+        x, y, heading = (read(f"{prefix}.{c}") for c in _STATE_KEYS)
         args[prefix] = ParticleState(PlanarVector(x, y), heading)
     variants = (read("pursuer_law.variant", str), read("evader_program.variant", str, "") or "zero")
     for (prefix, table), variant in zip(_VARIANT_TABLES, variants):
@@ -310,7 +305,7 @@ def _config_from_entries(entries: Dict[str, Tuple[str, int]]) -> ScenarioConfig:
             args[prefix] = cls(**values)
         except ValueError as exc:
             raise ValidationError(f"invalid {prefix.replace('_', ' ')}: {exc}") from exc
-    for key in ("step_size", "t_max", "capture_radius", "sample_stride"):
+    for key in _RUN_KEYS:
         if key in entries:  # else ScenarioConfig's default
             args[key] = read(key, int if key == "sample_stride" else _finite_float)
 
@@ -348,21 +343,16 @@ def write_scenario(config: ScenarioConfig) -> str:
     if config.label:
         lines.append(f"label = {config.label}")
     lines.append(f"nu = {config.nu}")
-    for prefix, p in (("pursuer_init", config.pursuer_init), ("evader_init", config.evader_init)):
-        lines.append(f"{prefix}.x = {p.position.x}")
-        lines.append(f"{prefix}.y = {p.position.y}")
-        lines.append(f"{prefix}.heading = {p.heading}")
-    for prefix, record in (
-        ("pursuer_law", config.pursuer_law),
-        ("evader_program", config.evader_program),
-    ):
+    for prefix in _STATES:
+        p = getattr(config, prefix)
+        for c, value in zip(_STATE_KEYS, (p.position.x, p.position.y, p.heading)):
+            lines.append(f"{prefix}.{c} = {value}")
+    for prefix, _ in _VARIANT_TABLES:
+        record = getattr(config, prefix)
         lines.append(f"{prefix}.variant = {record.variant}")
         for f in fields(record):
             lines.append(f"{prefix}.{f.name} = {getattr(record, f.name)}")
-    lines.append(f"step_size = {config.step_size}")
-    lines.append(f"t_max = {config.t_max}")
-    lines.append(f"capture_radius = {config.capture_radius}")
-    lines.append(f"sample_stride = {config.sample_stride}")
+    lines.extend(f"{key} = {getattr(config, key)}" for key in _RUN_KEYS)
     return "\n".join(lines) + "\n"
 
 
@@ -410,6 +400,19 @@ class TrajectoryRecord:
         if self.termination == TERMINATION_CAPTURE and self.t:
             return self.t[-1]
         return None
+
+
+#: The record's sample columns, in order: the CSV's columns.
+CSV_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord) if f.default_factory is _column)
+
+#: Seventeen significant digits: every double parses back bit-identically.
+F17 = "%.17g"
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+#: One row as ASCII bytes: bytes %-formatting prints a float as str's does.
+CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
+#: One sample packed as doubles, its values in CSV_COLUMNS order: the row
+#: ``simulate`` packs and TrajectoryCsvStream formats.
+SAMPLE = struct.Struct(f"{len(CSV_COLUMNS)}d")
 
 
 def f17(v: float) -> str:
@@ -597,7 +600,13 @@ class TrajectoryCsvStream:
 
 
 # ---------------------------------------------------------------------------
-# summary JSON
+# JSON files
+
+
+def write_json(obj, sink: TextIO) -> None:
+    """Write ``obj`` as every output file's JSON: sorted keys, two-space indent, final newline."""
+    json.dump(obj, sink, indent=2, sort_keys=True)
+    sink.write("\n")
 
 
 def summary_dict(record: TrajectoryRecord, cert=None, envelope_ok: Optional[bool] = None) -> dict:
@@ -620,16 +629,6 @@ def summary_dict(record: TrajectoryRecord, cert=None, envelope_ok: Optional[bool
     if envelope_ok is not None:
         out["envelope_ok"] = envelope_ok
     return out
-
-
-def write_summary_json(
-    record: TrajectoryRecord, sink: TextIO, cert=None, envelope_ok: Optional[bool] = None
-) -> dict:
-    """Write the record's summary_dict as JSON and return it."""
-    summary = summary_dict(record, cert, envelope_ok)
-    json.dump(summary, sink, indent=2, sort_keys=True)
-    sink.write("\n")
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -676,61 +675,53 @@ def _write_polyline(sink: TextIO, xs: Sequence[float], ys: Sequence[float], styl
     write('"/>\n')
 
 
-def emit_figure_svg(record: TrajectoryRecord, sink: TextIO) -> None:
-    """Render one engagement as SVG: paths plus light baseline segments.
+def _emit_svg(records: List[TrajectoryRecord], sink: TextIO, evader_stroke: str,
+              figure: bool = False) -> None:
+    """Render each record's pursuer path over the dashed evader path of the longest one.
 
-    The y axis is flipped so the figure reads in the usual orientation.
-    Output depends only on the record.
+    The y axis is flipped so the figure reads in the usual orientation. A
+    ``figure`` draws its one record with light baseline segments at evenly
+    spaced sample indices under the paths, and a one-sample record as two
+    dots. Output depends only on the records.
     """
-    pxs, pys, exs, eys = record.px, record.py, record.ex, record.ey
-    sw = _svg_open(sink, (pxs, exs), (pys, eys))
+    evader = max(records, key=lambda r: r.n_samples)
+    pxs, pys, exs, eys = evader.px, evader.py, evader.ex, evader.ey
+    sw = _svg_open(sink, [exs] + [rec.px for rec in records], [eys] + [rec.py for rec in records])
     write = sink.write
-    n = record.n_samples
-    # Evenly spaced sample indices: they never decrease, so dropping repeats keeps their order.
-    last = _FIGURE_BASELINES - 1
-    for i in dict.fromkeys(round(k * (n - 1) / last) for k in range(last + 1) if n):
-        write(
-            f'<line x1="{_fmt(pxs[i])}" y1="{_fmt(-pys[i])}" '
-            f'x2="{_fmt(exs[i])}" y2="{_fmt(-eys[i])}" '
-            f'stroke="#c9c9c9" stroke-width="{_fmt(0.6 * sw)}"/>\n'
-        )
-    if n == 1:
+    n = evader.n_samples
+    if figure:
+        # Evenly spaced sample indices: they never decrease, so dropping repeats keeps their order.
+        last = _FIGURE_BASELINES - 1
+        for i in dict.fromkeys(round(k * (n - 1) / last) for k in range(last + 1) if n):
+            write(
+                f'<line x1="{_fmt(pxs[i])}" y1="{_fmt(-pys[i])}" '
+                f'x2="{_fmt(exs[i])}" y2="{_fmt(-eys[i])}" '
+                f'stroke="#c9c9c9" stroke-width="{_fmt(0.6 * sw)}"/>\n'
+            )
+    if figure and n == 1:
         r = _fmt(2.0 * sw)
         write(f'<circle cx="{_fmt(pxs[0])}" cy="{_fmt(-pys[0])}" r="{r}" fill="#111111"/>\n')
         write(f'<circle cx="{_fmt(exs[0])}" cy="{_fmt(-eys[0])}" r="{r}" fill="#444444"/>\n')
     else:
-        _write_polyline(
-            sink, exs, eys,
-            f'stroke="#333333" stroke-width="{_fmt(sw)}" '
-            f'stroke-dasharray="{_fmt(3.0 * sw)} {_fmt(2.0 * sw)}"',
-        )
-        _write_polyline(sink, pxs, pys, f'stroke="#111111" stroke-width="{_fmt(sw)}"')
+        def dashes(on: float, off: float) -> str:
+            return f'stroke-dasharray="{_fmt(on * sw)} {_fmt(off * sw)}"'
+
+        width = f'stroke-width="{_fmt(sw)}"'
+        _write_polyline(sink, exs, eys, f'stroke="{evader_stroke}" {width} {dashes(3.0, 2.0)}')
+        styles = ('stroke="#111111"', f'stroke="#555555" {dashes(5.0, 2.5)}',
+                  f'stroke="#999999" {dashes(1.5, 1.5)}')
+        for idx, rec in enumerate(records):
+            _write_polyline(sink, rec.px, rec.py, f"{styles[idx % len(styles)]} {width}")
     write("</svg>\n")
 
 
-_OVERLAY_STYLES = (
-    'stroke="#111111"',
-    'stroke="#555555" stroke-dasharray="{d1} {d2}"',
-    'stroke="#999999" stroke-dasharray="{d3} {d3}"',
-)
+def emit_figure_svg(record: TrajectoryRecord, sink: TextIO) -> None:
+    """Render one engagement as SVG: its paths plus light baseline segments."""
+    _emit_svg([record], sink, "#333333", figure=True)
 
 
 def emit_overlay_svg(records: List[TrajectoryRecord], sink: TextIO) -> None:
     """Overlay several pursuer paths over a shared evader path."""
     if not records:
         raise ValidationError("overlay needs at least one record")
-    evader_src = max(records, key=lambda r: r.n_samples)
-    xs = [evader_src.ex] + [rec.px for rec in records]
-    ys = [evader_src.ey] + [rec.py for rec in records]
-    sw = _svg_open(sink, xs, ys)
-    _write_polyline(
-        sink, evader_src.ex, evader_src.ey,
-        f'stroke="#bb4444" stroke-width="{_fmt(sw)}" '
-        f'stroke-dasharray="{_fmt(3.0 * sw)} {_fmt(2.0 * sw)}"',
-    )
-    for idx, rec in enumerate(records):
-        style = _OVERLAY_STYLES[idx % len(_OVERLAY_STYLES)].format(
-            d1=_fmt(5.0 * sw), d2=_fmt(2.5 * sw), d3=_fmt(1.5 * sw)
-        )
-        _write_polyline(sink, rec.px, rec.py, f'{style} stroke-width="{_fmt(sw)}"')
-    sink.write("</svg>\n")
+    _emit_svg(records, sink, "#bb4444")

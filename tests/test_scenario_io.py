@@ -45,8 +45,8 @@ from mcpursuit.scenario_io import (
     parse_scenario,
     parse_scenario_with_overrides,
     summary_dict,
+    write_json,
     write_scenario,
-    write_summary_json,
     write_trajectory_csv,
 )
 
@@ -296,6 +296,62 @@ def test_write_then_parse_recovers_the_config(config):
     assert write_scenario(again) == text
 
 
+def test_write_scenario_writes_every_kind_of_key_in_a_fixed_order():
+    config = build_scenario(
+        nu=0.9,
+        pursuer_init=_state(30.0, 0.0, 3.0),
+        evader_init=_state(0.0, -1.5, 1.0),
+        pursuer_law=MCPG(40.0),
+        evader_program=PiecewiseRandom(seed=11, dwell=0.5, u_max=0.3),
+        step_size=0.001,
+        t_max=12.5,
+        capture_radius=0.05,
+        sample_stride=4,
+        label="random weave",
+    )
+    assert write_scenario(config) == textwrap.dedent("""\
+        label = random weave
+        nu = 0.9
+        pursuer_init.x = 30.0
+        pursuer_init.y = 0.0
+        pursuer_init.heading = 3.0
+        evader_init.x = 0.0
+        evader_init.y = -1.5
+        evader_init.heading = 1.0
+        pursuer_law.variant = mcpg
+        pursuer_law.mu = 40.0
+        evader_program.variant = piecewise_random
+        evader_program.seed = 11
+        evader_program.dwell = 0.5
+        evader_program.u_max = 0.3
+        step_size = 0.001
+        t_max = 12.5
+        capture_radius = 0.05
+        sample_stride = 4
+        """)
+
+
+def test_the_keys_write_scenario_writes_are_the_known_keys():
+    laws = (MCPG(3.0), Exact(2.5), PPNG(4.0))
+    programs = (Zero(), Constant(0.3), Sinusoid(amplitude=0.2, angular_freq=1.5),
+                PiecewiseRandom(seed=11, dwell=0.5, u_max=0.3))
+    assert {law.variant for law in laws} == set(scenario_io.LAWS)
+    assert {program.variant for program in programs} == set(scenario_io.PROGRAMS)
+    configs = [
+        build_scenario(nu=0.5, pursuer_init=_state(10.0, -2.0, 1.5),
+                       evader_init=_state(0.0, 0.5, 0.25), pursuer_law=law,
+                       evader_program=program, label="every key")
+        for law, program in [(law, Zero()) for law in laws] + [(MCPG(3.0), p) for p in programs]
+    ]
+    written = set()
+    for config in configs:
+        keys = {line.split(" = ", 1)[0] for line in write_scenario(config).splitlines()}
+        assert keys <= KNOWN_KEYS
+        written |= keys
+    assert written == KNOWN_KEYS
+    assert len(KNOWN_KEYS) == 23
+
+
 @pytest.mark.parametrize("label", [" padded ", "two\nlines", "a\x0bb", "a\u2028b", "x\nnu = 0.1"])
 def test_a_label_the_scenario_file_cannot_hold_is_a_validation_error(label):
     # Each was accepted, then came back stripped or made the file unparseable.
@@ -390,7 +446,7 @@ def test_list_and_array_backed_records_write_identical_bytes():
 def test_summary_json_shape_and_determinism():
     record = _small_record()
     sink = io.StringIO()
-    write_summary_json(record, sink)
+    write_json(summary_dict(record), sink)
     text = sink.getvalue()
     assert text.endswith("\n")
     data = json.loads(text)
@@ -403,7 +459,7 @@ def test_summary_json_shape_and_determinism():
     assert "certificate" not in data
     assert "envelope_ok" not in data
     again = io.StringIO()
-    write_summary_json(record, again)
+    write_json(summary_dict(record), again)
     assert again.getvalue() == text
 
 
