@@ -118,20 +118,13 @@ def _capped(config: ScenarioConfig, law: PursuerLaw) -> float:
     return min(config.step_size, stability_step_cap(law, config.nu, config.capture_radius))
 
 
-def _run_exit(summaries: List[dict]) -> int:
-    if any(s["termination"] == TERMINATION_NON_FINITE for s in summaries):
-        return EXIT_NUMERICAL
-    return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    config = _load_scenario(args)
+def _cmd_run(args, config: ScenarioConfig) -> List[dict]:
     _, summary = _simulate_into(args.out, config, args.figure)
     print(
         f"run: termination={summary['termination']} samples={summary['n_samples']} "
         f"final_gamma={_cell(summary['gamma_final'], 'n/a')} out={args.out}"
     )
-    return _run_exit([summary])
+    return [summary]
 
 
 def _post_transient_peak(gamma: List[float]) -> Optional[float]:
@@ -173,8 +166,7 @@ def _parse_gains(spec: str) -> Dict[str, float]:
     return runs
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_scenario(args)
+def _cmd_sweep(args, config: ScenarioConfig) -> List[dict]:
     runs = _parse_gains(args.gains)
     summaries: List[dict] = []
     rows: List[str] = ["multiplier,gain,peak_gamma_excess,ratio_vs_prev"]
@@ -194,11 +186,10 @@ def _cmd_sweep(args) -> int:
     with _open_out(args.out, "sweep.csv") as f:
         f.write("\n".join(rows) + "\n")
     print(f"sweep: {len(runs)} runs out={args.out}")
-    return _run_exit(summaries)
+    return summaries
 
 
-def _cmd_certify(args) -> int:
-    config = _load_scenario(args)
+def _cmd_certify(args, config: ScenarioConfig) -> List[dict]:
     if not isinstance(config.pursuer_law, MCPG):
         raise ValidationError("certify requires pursuer_law.variant = mcpg")
     sample = compute_metrics(initial_state(config), config.nu)
@@ -242,11 +233,10 @@ def _cmd_certify(args) -> int:
         f"certify: mu={f17(cert.mu)} T={f17(cert.T)} epsilon={f17(cert.epsilon)} "
         f"out={args.out}"
     )
-    return _run_exit(summaries)
+    return summaries
 
 
-def _cmd_compare(args) -> int:
-    config = _load_scenario(args)
+def _cmd_compare(args, config: ScenarioConfig) -> List[dict]:
     base = config.pursuer_law
     if not isinstance(base, (MCPG, Exact)):
         raise ValidationError("compare requires an mcpg or exact scenario to supply mu")
@@ -277,7 +267,7 @@ def _cmd_compare(args) -> int:
     with _open_out(args.out, "overlay.svg") as f:
         emit_overlay_svg(records, f)
     print(f"compare: mu={f17(mu)} ppng_gain={f17(n_gain)} out={args.out}")
-    return _run_exit(summaries)
+    return summaries
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -337,16 +327,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except _UsageError as exc:
+        summaries = args.func(args, _load_scenario(args))
+    except (_UsageError, McpursuitError, OSError) as exc:
         print(f"mcpursuit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except McpursuitError as exc:
-        print(f"mcpursuit: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"mcpursuit: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return (EXIT_USAGE if isinstance(exc, _UsageError)
+                else EXIT_VALIDATION if isinstance(exc, McpursuitError) else EXIT_IO)
+    if any(s["termination"] == TERMINATION_NON_FINITE for s in summaries):
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def entry() -> None:

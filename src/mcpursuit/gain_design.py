@@ -51,47 +51,6 @@ class GainCertificate:
     T: float
     met_at_start: bool = False
 
-    def validate(self) -> None:
-        """Assert the internal consistency of every certified constant."""
-        if not 0.0 <= self.nu < 1.0:
-            raise InvalidSpeedRatio(f"nu out of [0, 1): {self.nu}")
-        if self.u_e_max < 0.0:
-            raise ValueError(f"u_e_max negative: {self.u_e_max}")
-        if not -1.0 <= self.gamma0 < 1.0:
-            raise DegenerateStart(f"gamma0 out of [-1, 1): {self.gamma0}")
-        if not 0.0 < self.r0 < self.r_init:
-            raise InvalidGeometry(f"need 0 < r0 < r_init, got r0={self.r0}, r_init={self.r_init}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon out of (0, 1]: {self.epsilon}")
-        c1 = compute_c1(self.nu, self.u_e_max)
-        if not math.isclose(self.c1, c1, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError(f"c1 inconsistent: stored {self.c1}, recomputed {c1}")
-        sq = math.sqrt(self.epsilon)
-        c0 = self.c2 + self.c1 / sq
-        mu = ((1.0 + self.nu) / (1.0 - self.nu)) * ((1.0 + self.nu) / self.r0 + c0)
-        if not math.isclose(self.mu, mu, rel_tol=1e-9, abs_tol=0.0):
-            raise ValueError(f"mu inconsistent: stored {self.mu}, recomputed {mu}")
-        if c0 < 2.0 * self.c1 / sq - 1e-12 * max(1.0, c0):
-            raise ValueError(f"damping condition violated: c0={c0}, c1={self.c1}, eps={self.epsilon}")
-        if self.met_at_start:
-            if self.T != 0.0:
-                raise ValueError(f"met_at_start certificate must have T = 0, got {self.T}")
-            if self.c2 < 0.0:
-                raise ValueError(f"c2 negative: {self.c2}")
-            return
-        if self.epsilon > 1.0 - self.gamma0 * self.gamma0 + 1e-15:
-            raise ValueError(
-                f"epsilon {self.epsilon} exceeds admissible band {1.0 - self.gamma0 ** 2}"
-            )
-        if not self.c2 > 0.0:
-            raise ValueError(f"c2 must be positive: {self.c2}")
-        c2_req = required_c2(self.nu, self.gamma0, self.epsilon, self.r_init, self.r0)
-        if self.c2 < c2_req - 1e-12 * max(1.0, abs(c2_req)):
-            raise ValueError(f"arrival condition violated: c2={self.c2} < required {c2_req}")
-        T = (self.r_init - self.r0) / (1.0 + self.nu)
-        if not math.isclose(self.T, T, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(f"T inconsistent: stored {self.T}, recomputed {T}")
-
 
 def compute_c1(nu: float, u_e_max: float) -> float:
     """Disturbance scale nu^2 (1+nu) u_e_max / (1-nu)^2.

@@ -353,7 +353,7 @@ def test_overflowing_inputs_exit_with_their_documented_codes(argv, code, tmp_pat
 
 @pytest.mark.parametrize("error", McpursuitError.__subclasses__(), ids=lambda e: e.__name__)
 def test_every_package_error_exits_3(error, scenario_file, tmp_path, monkeypatch, capsys):
-    def fail(args):
+    def fail(args, config):
         raise error("the message")
 
     monkeypatch.setattr(cli, "_cmd_run", fail)

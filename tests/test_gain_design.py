@@ -5,14 +5,16 @@ digits; the double-precision implementation has to stay within a relative
 1e-13 of that, which leaves room only for honest rounding.
 """
 
-import dataclasses
+import json
 import math
+import os
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcpursuit.cli import main
 from mcpursuit.errors import DegenerateStart, InvalidGeometry, InvalidSpeedRatio
 from mcpursuit.gain_design import (
     GainCertificate,
@@ -21,7 +23,8 @@ from mcpursuit.gain_design import (
     design_certificate,
     required_c2,
 )
-from mcpursuit.metrics import gamma_envelope
+from mcpursuit.metrics import gamma_envelope, metric_values
+from mcpursuit.scenario_io import parse_scenario
 
 mpmath.mp.dps = 50
 
@@ -111,13 +114,11 @@ def test_design_frozen_example():
     assert cert.mu == pytest.approx(37.065092445315926, rel=1e-14)
     assert cert.T == pytest.approx(99.0 / 1.9, rel=1e-15)
     assert not cert.met_at_start
-    cert.validate()
 
 
 def test_design_uses_r_init_over_100_by_default():
     cert = design_certificate(nu=0.5, u_e_max=0.1, gamma0=0.2, r_init=50.0)
     assert cert.r0 == 0.5
-    cert.validate()
 
 
 certificate_inputs = (
@@ -133,11 +134,25 @@ certificate_inputs = (
 @given(*certificate_inputs)
 @settings(max_examples=300, deadline=None)
 def test_designed_certificates_validate(nu, u_e_max, gamma0, r_init, eps_t, r0_frac):
+    r0 = r0_frac * r_init
     cert = design_certificate(
         nu=nu, u_e_max=u_e_max, gamma0=gamma0, r_init=r_init,
-        epsilon_target=eps_t, r0_choice=r0_frac * r_init,
+        epsilon_target=eps_t, r0_choice=r0,
     )
-    cert.validate()
+    assert (cert.nu, cert.u_e_max, cert.gamma0, cert.r_init, cert.r0) == (
+        nu, u_e_max, gamma0, r_init, r0)
+    assert cert.c1 == compute_c1(nu, u_e_max)
+    assert 0.0 < cert.epsilon <= eps_t
+    c0 = cert.c2 + cert.c1 / math.sqrt(cert.epsilon)
+    assert cert.mu == pytest.approx(float(_oracle_mu(nu, r0, c0)), rel=1e-12, abs=0.0)
+    if cert.met_at_start:
+        assert cert.T == 0.0
+        assert cert.c2 >= 0.0
+    else:
+        assert cert.epsilon <= 1.0 - gamma0 * gamma0 + 1e-15
+        assert cert.c2 > 0.0
+        want_T = (mpmath.mpf(r_init) - mpmath.mpf(r0)) / (1 + mpmath.mpf(nu))
+        assert cert.T == pytest.approx(float(want_T), rel=1e-15, abs=0.0)
 
 
 @given(*certificate_inputs)
@@ -202,7 +217,6 @@ def test_met_at_start_branch():
     assert cert.met_at_start
     assert cert.T == 0.0
     assert cert.epsilon == 0.01
-    cert.validate()
 
 
 def test_design_rejects_degenerate_inputs():
@@ -218,52 +232,25 @@ def test_design_rejects_degenerate_inputs():
         design_certificate(nu=0.5, u_e_max=-0.1, gamma0=0.0, r_init=10.0)
 
 
-def test_validate_catches_tampered_certificates():
-    cert = design_certificate(nu=0.6, u_e_max=0.2, gamma0=0.3, r_init=40.0)
-    cert.validate()
-    with pytest.raises(ValueError):
-        dataclasses.replace(cert, c2=cert.c2 * 0.5).validate()
-    with pytest.raises(ValueError):
-        dataclasses.replace(cert, mu=cert.mu * 1.01).validate()
-    with pytest.raises(ValueError):
-        dataclasses.replace(cert, c1=cert.c1 * 2.0).validate()
-    with pytest.raises(ValueError):
-        dataclasses.replace(cert, T=cert.T + 1.0).validate()
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
-def _consistent(cert, **changes):
-    """cert with the changes and mu recomputed from them, so that mu's check passes."""
-    c = dataclasses.replace(cert, **changes)
-    c0 = c.c2 + c.c1 / math.sqrt(c.epsilon)
-    return dataclasses.replace(c, mu=((1.0 + c.nu) / (1.0 - c.nu)) * ((1.0 + c.nu) / c.r0 + c0))
-
-
-# The damping condition sets c0 in _SHARP; in _CALM (c1 = 0) the arrival condition does.
-_SHARP = design_certificate(nu=0.6, u_e_max=0.2, gamma0=0.3, r_init=40.0)
-_CALM = design_certificate(nu=0.6, u_e_max=0.0, gamma0=0.3, r_init=40.0)
-_MET = design_certificate(nu=0.8, u_e_max=0.0, gamma0=-0.995, r_init=20.0)
-
-
-@pytest.mark.parametrize("cert, error, message", [
-    (dataclasses.replace(_SHARP, nu=1.0), InvalidSpeedRatio, "nu out of"),
-    (dataclasses.replace(_SHARP, u_e_max=-0.1), ValueError, "u_e_max negative"),
-    (dataclasses.replace(_SHARP, gamma0=1.0), DegenerateStart, "gamma0 out of"),
-    (dataclasses.replace(_SHARP, r0=_SHARP.r_init), InvalidGeometry, "need 0 < r0 < r_init"),
-    (dataclasses.replace(_SHARP, epsilon=0.0), ValueError, "epsilon out of"),
-    (dataclasses.replace(_SHARP, epsilon=1.5), ValueError, "epsilon out of"),
-    (_consistent(_SHARP, c2=0.5 * _SHARP.c2), ValueError, "damping condition violated"),
-    (dataclasses.replace(_MET, T=1.0), ValueError, "must have T = 0"),
-    (_consistent(_MET, c2=-1e-13), ValueError, "c2 negative"),
-    (_consistent(_CALM, epsilon=0.95), ValueError, "exceeds admissible band"),
-    (_consistent(_CALM, c2=0.0), ValueError, "c2 must be positive"),
-    (_consistent(_CALM, c2=0.5 * _CALM.c2), ValueError, "arrival condition violated"),
-], ids=["nu", "u_e_max", "gamma0", "r0", "epsilon_zero", "epsilon_over_one", "damping",
-        "met_T", "met_c2", "band", "c2_zero", "arrival"])
-def test_validate_names_the_broken_condition(cert, error, message):
-    with pytest.raises(error, match=message):
-        cert.validate()
-
-
-def test_the_untampered_certificates_validate():
-    for cert in (_SHARP, _CALM, _MET):
-        cert.validate()
+@pytest.mark.parametrize("name", ["random_weave", "sine_weave", "straight_chase"])
+def test_a_saved_certificate_is_the_designed_one(name, tmp_path):
+    # A saved certificate is checked by redesigning it from the scenario.
+    path = os.path.join(SCENARIOS, f"{name}.txt")
+    assert main(["certify", "--scenario", path, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "certificate.json", encoding="utf-8") as f:
+        saved = GainCertificate(**json.load(f)["certificate"])
+    with open(path, encoding="utf-8") as f:
+        config = parse_scenario(f.read())
+    p, e, nu = config.pursuer_init, config.evader_init, config.nu
+    r_init, _, gamma0, *_ = metric_values(
+        p.position.x - e.position.x, p.position.y - e.position.y,
+        math.cos(p.heading) - nu * math.cos(e.heading),
+        math.sin(p.heading) - nu * math.sin(e.heading),
+    )
+    assert saved == design_certificate(
+        nu=nu, u_e_max=config.evader_program.max_abs_control(), gamma0=gamma0,
+        r_init=r_init, epsilon_target=0.01,
+    )
