@@ -361,6 +361,48 @@ def test_every_package_error_exits_3(error, scenario_file, tmp_path, monkeypatch
     assert capsys.readouterr().err == "mcpursuit: the message\n"
 
 
+COMMANDS = {
+    "run": ("_cmd_run", []),
+    "sweep": ("_cmd_sweep", ["--gains", "1"]),
+    "certify": ("_cmd_certify", []),
+    "compare": ("_cmd_compare", []),
+}
+
+# What a command does -> the exit code main returns and what it prints on stderr.
+OUTCOMES = {
+    "usage": (cli._UsageError("the message"), EXIT_USAGE, "mcpursuit: the message\n"),
+    "package": (McpursuitError("the message"), EXIT_VALIDATION, "mcpursuit: the message\n"),
+    "io": (OSError("the message"), EXIT_IO, "mcpursuit: the message\n"),
+    "non_finite": ([{"termination": "capture"}, {"termination": "non_finite"}],
+                   EXIT_NUMERICAL, ""),
+    "finite": ([{"termination": "capture"}, {"termination": "time_limit"}], EXIT_OK, ""),
+}
+
+
+@pytest.mark.parametrize("outcome", OUTCOMES)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_reports_through_main(command, outcome, scenario_file, tmp_path,
+                                            monkeypatch, capsys):
+    # main loads the scenario, maps each error to its exit code and returns 4
+    # when any summary a command returns ended non_finite, for every command.
+    name, extra = COMMANDS[command]
+    result, code, err = OUTCOMES[outcome]
+    seen = []
+
+    def stub(args, config):
+        seen.append(config)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    monkeypatch.setattr(cli, name, stub)
+    argv = [command, "--scenario", scenario_file, "--out", str(tmp_path)] + extra
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+    with open(scenario_file, encoding="utf-8") as f:
+        assert seen == [parse_scenario(f.read())]
+
+
 # Gains whose stability cap overflows to a zero step.
 HUGE_GAINS = [
     # ppng's N / capture_radius overflows; N = mu * r0 with r0 = r_init / 100.

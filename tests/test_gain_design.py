@@ -232,6 +232,29 @@ def test_design_rejects_degenerate_inputs():
         design_certificate(nu=0.5, u_e_max=-0.1, gamma0=0.0, r_init=10.0)
 
 
+@pytest.mark.parametrize("changes, error, message", [
+    ({"nu": 1.0}, InvalidSpeedRatio, "nu out of"),
+    ({"nu": -0.1}, InvalidSpeedRatio, "nu out of"),
+    ({"nu": math.nan}, InvalidSpeedRatio, "nu out of"),
+    ({"u_e_max": -0.1}, ValueError, "u_e_max must be"),
+    ({"u_e_max": math.inf}, ValueError, "u_e_max must be"),
+    ({"epsilon_target": 0.0}, ValueError, "epsilon_target out of"),
+    ({"epsilon_target": 1.0}, ValueError, "epsilon_target out of"),
+    ({"gamma0": 1.5}, ValueError, "gamma0 out of"),
+    ({"gamma0": 1.0}, DegenerateStart, "gamma0 = 1"),
+    ({"r_init": 0.0}, InvalidGeometry, "r_init must be"),
+    ({"r_init": math.inf}, InvalidGeometry, "r_init must be"),
+    ({"r0_choice": 40.0}, InvalidGeometry, "need 0 < r0 < r_init"),
+    ({"r0_choice": 0.0}, InvalidGeometry, "need 0 < r0 < r_init"),
+    ({"r0_choice": 1e-309}, InvalidGeometry, "is not finite"),
+], ids=["nu", "nu_negative", "nu_nan", "u_e_max", "u_e_max_inf", "epsilon_zero",
+        "epsilon_one", "gamma0", "gamma0_one", "r_init", "r_init_inf", "r0", "r0_zero", "mu"])
+def test_design_names_the_broken_input(changes, error, message):
+    inputs = {"nu": 0.6, "u_e_max": 0.2, "gamma0": 0.3, "r_init": 40.0} | changes
+    with pytest.raises(error, match=message):
+        design_certificate(**inputs)
+
+
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
