@@ -39,7 +39,6 @@ from .guidance import (
     stability_step_cap,
 )
 from .metrics import (
-    BaselineTrace,
     MetricSample,
     camouflage_test,
     check_envelope,
@@ -61,7 +60,6 @@ from .simulation import simulate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineTrace",
     "CertificateMismatch",
     "Constant",
     "DegenerateGamma",

@@ -190,6 +190,8 @@ def _cmd_sweep(args, config: ScenarioConfig) -> List[dict]:
 
 
 def _cmd_certify(args, config: ScenarioConfig) -> List[dict]:
+    if args.figure and not args.verify:
+        raise _UsageError("certify: --figure draws the --verify run, so it needs --verify")
     if not isinstance(config.pursuer_law, MCPG):
         raise ValidationError("certify requires pursuer_law.variant = mcpg")
     sample = compute_metrics(initial_state(config), config.nu)
@@ -309,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rerun the scenario at the certified gain and check the envelope",
     )
-    p_cert.add_argument("--figure", action="store_true", help="with --verify, write figure.svg")
+    p_cert.add_argument("--figure", action="store_true",
+                        help="write figure.svg of the --verify run (without --verify: exit 2)")
     p_cert.set_defaults(func=_cmd_certify)
 
     p_cmp = subs.add_parser("compare", help="run the guidance law family side by side")

@@ -12,13 +12,17 @@ which satisfy gamma^2 + (w/|rdot|)^2 = 1 identically. gamma = -1 means the
 baseline shrinks as fast as the relative speed allows; w = 0 on an interval
 is equivalent to the baseline keeping a fixed direction (pure motion
 camouflage with respect to the point at infinity).
+
+camouflage_test returns (worst, verdict): the largest deviation of the
+baseline across its initial bearing over |r|, and whether every sample kept
+that within the tolerance. Each check of a finished record is one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .dynamics import EngagementState
 from .errors import CertificateMismatch, DegenerateGamma, ZeroBaseline
@@ -47,15 +51,6 @@ class MetricSample:
     w_signed: float
     los_rate: float
     residual: float
-
-
-@dataclass(frozen=True)
-class BaselineTrace:
-    """Decomposition of every sampled baseline against the initial bearing."""
-
-    reference_bearing: PlanarVector
-    lambda_along: List[float]
-    transverse_residual: List[float]
 
 
 def metric_values(
@@ -98,15 +93,16 @@ def compute_metrics(s: EngagementState, nu: float) -> MetricSample:
     )
 
 
-def camouflage_test(record: "TrajectoryRecord", tol: float) -> Tuple[BaselineTrace, bool]:
-    """Decompose the baseline against its initial bearing and judge camouflage.
+def camouflage_test(record: "TrajectoryRecord", tol: float) -> Tuple[float, bool]:
+    """Judge camouflage against the initial bearing; return (worst, verdict).
 
-    The verdict is True when every sample's transverse residual stays within
-    tol relative to the baseline length at that sample. A single-sample
-    record passes vacuously. Raises ZeroBaseline if any sample has |r| = 0.
+    Each sample's baseline is split along the initial bearing and across it.
+    ``worst`` is the largest transverse part over the baseline length at that
+    sample, and the verdict is True when no sample's transverse part exceeds
+    tol times that length. A single-sample record passes vacuously with
+    worst 0. Raises ZeroBaseline if any sample has |r| = 0.
     """
-    n = record.n_samples
-    if n == 0:
+    if record.n_samples == 0:
         raise ZeroBaseline("empty record has no baseline")
     r0x = record.px[0] - record.ex[0]
     r0y = record.py[0] - record.ey[0]
@@ -116,12 +112,11 @@ def camouflage_test(record: "TrajectoryRecord", tol: float) -> Tuple[BaselineTra
     bx = r0x / r0n
     by = r0y / r0n
 
-    lam: List[float] = []
-    trans: List[float] = []
+    worst = 0.0
     ok = True
-    for i in range(n):
-        rx = record.px[i] - record.ex[i]
-        ry = record.py[i] - record.ey[i]
+    for i, (px, py, ex, ey) in enumerate(zip(record.px, record.py, record.ex, record.ey)):
+        rx = px - ex
+        ry = py - ey
         rn = _sqrt(rx * rx + ry * ry)
         if rn == 0.0:
             raise ZeroBaseline(f"zero baseline at sample {i}")
@@ -129,11 +124,12 @@ def camouflage_test(record: "TrajectoryRecord", tol: float) -> Tuple[BaselineTra
         tx = rx - a * bx
         ty = ry - a * by
         tn = _sqrt(tx * tx + ty * ty)
-        lam.append(a)
-        trans.append(tn)
         if tn > tol * rn:
             ok = False
-    return BaselineTrace(PlanarVector(bx, by), lam, trans), ok
+        q = tn / rn
+        if q > worst:
+            worst = q
+    return worst, ok
 
 
 def gamma_envelope(gamma0: float, c2: float, t: float) -> float:
@@ -182,12 +178,10 @@ def check_envelope(record: "TrajectoryRecord", cert: "GainCertificate") -> bool:
     h = scen.step_size
     slack = ENVELOPE_SLACK_FACTOR * h * h
     floor = -1.0 + cert.epsilon
-    for i in range(record.n_samples):
-        t = record.t[i]
+    for t, g, rn in zip(record.t, record.gamma, record.r_norm):
         if t > cert.T:
             break
-        g = record.gamma[i]
-        if record.r_norm[i] < cert.r0 or g <= floor:
+        if rn < cert.r0 or g <= floor:
             continue
         if g > gamma_envelope(cert.gamma0, cert.c2, t) + slack:
             return False

@@ -622,7 +622,7 @@ def summary_dict(record: TrajectoryRecord, cert=None, envelope_ok: Optional[bool
         "gamma_max": max(record.gamma) if record.gamma else None,
         "gamma_final": record.gamma[-1] if record.gamma else None,
         "peak_residual": max(record.residual) if record.residual else None,
-        "peak_abs_u_p": max(abs(v) for v in record.u_p) if record.u_p else None,
+        "peak_abs_u_p": max(map(abs, record.u_p)) if record.u_p else None,
     }
     if cert is not None:
         out["certificate"] = asdict(cert)

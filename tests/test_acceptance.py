@@ -327,8 +327,7 @@ def test_camouflage_verdicts_separate_aligned_and_misaligned_runs():
 
     # A 1e-4 heading error shows up at the matching scale in both verdicts.
     bent = run(1e-4, 0.0)
-    trace, _ = camouflage_test(bent, math.inf)
-    tau = max(t / r for t, r in zip(trace.transverse_residual, bent.r_norm))
+    tau, _ = camouflage_test(bent, math.inf)
     bent_peak = peak_w_over_speed(bent)
 
     # A turning evader under a frozen pursuer is not camouflaged.

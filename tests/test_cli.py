@@ -241,6 +241,38 @@ def test_certify_with_verification_runs_the_loop(scenario_file, tmp_path):
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
+def test_certify_figure_without_verify_is_a_usage_error(scenario_file, tmp_path, capsys):
+    # The figure draws the verification run, so there is nothing to draw without it.
+    out = tmp_path / "cert"
+    argv = ["certify", "--scenario", scenario_file, "--out", str(out), "--figure"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--verify" in err
+    assert not out.exists()
+
+
+# straight_chase starts 30 apart. A capture radius of 11.99 ends the verified
+# run at sample 7 with gamma = -0.9068, inside -1 + sqrt(epsilon) = -0.9 but
+# never in the band, so only the capture clause makes it achieved; at 13 the
+# run is captured at its first sample, still at gamma0 = 0.2705.
+@pytest.mark.parametrize("radius, samples, gamma_final, achieved", [
+    ("11.99", 8, -0.9068, True),
+    ("13", 1, 0.2705, False),
+])
+def test_certify_counts_a_capture_as_achieved_only_once_aligned(radius, samples, gamma_final,
+                                                                achieved, tmp_path, capsys):
+    out = str(tmp_path / "cert")
+    assert main(["certify", "--verify", "--scenario", _shipped("straight_chase"), "--out", out,
+                 "--set", f"capture_radius={radius}"]) == EXIT_OK
+    ver = json.loads(_read(os.path.join(out, "certificate.json")))["verification"]
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
+    assert ver["termination"] == summary["termination"] == "capture"
+    assert summary["n_samples"] == samples
+    assert ver["final_gamma"] == pytest.approx(gamma_final, abs=1e-4)
+    assert ver["t1"] is None
+    assert ver["achieved"] is achieved
+
+
 def test_certify_requires_the_baseline_law(scenario_file, tmp_path):
     path = os.path.join(os.path.dirname(scenario_file), "ppng.txt")
     with open(path, "w", encoding="utf-8") as f:
@@ -468,7 +500,7 @@ def _commands(draw):
     argv = [command, "--scenario", _shipped(draw(st.sampled_from(SHIPPED)))]
     if command == "certify" and draw(st.booleans()):
         argv.append("--verify")
-    if command != "certify" and draw(st.booleans()):
+    if draw(st.booleans()):
         argv.append("--figure")
     if command == "sweep":
         argv += ["--gains", draw(_GAINS)]

@@ -552,19 +552,32 @@ def _shipped(name):
         return f.read()
 
 
+def _readme_block(section, fence="```\n"):
+    """The first fenced block under the README heading ``## section``."""
+    with open(os.path.join(os.path.dirname(SHIPPED), "README.md"), encoding="utf-8") as f:
+        text = f.read().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(fence, 1)[1].split("```\n", 1)[0]
+
+
 def _documented_examples():
     """The README's example under "## Scenario files" and the scenario_io docstring's."""
-    readme = os.path.join(os.path.dirname(SHIPPED), "README.md")
-    with open(readme, encoding="utf-8") as f:
-        section = f.read().split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
     docstring = scenario_io.__doc__.split("Example::\n\n", 1)[1].split("\n\n", 1)[0]
-    return [section.split("```\n", 2)[1], textwrap.dedent(docstring)]
+    return [_readme_block("Scenario files"), textwrap.dedent(docstring)]
 
 
 @pytest.mark.parametrize("text", _documented_examples(), ids=["readme", "docstring"])
 def test_the_documented_scenario_examples_parse(text):
     config = parse_scenario(text)
     assert parse_scenario(write_scenario(config)) == config
+
+
+def test_the_readme_library_example_runs(capsys):
+    # It designs a gain and simulates an engagement at it, in a few
+    # hundredths of a second; the run must end captured and aligned.
+    exec(compile(_readme_block("Library", "```python\n"), "README.md", "exec"), {})
+    termination, gamma_min = capsys.readouterr().out.split()
+    assert termination == "capture"
+    assert float(gamma_min) <= -0.99
 
 
 def test_step_budget_is_checked_before_any_run():
