@@ -7,7 +7,7 @@ within a stated horizon, engagement metrics, deterministic scenario and
 trajectory file formats, and a command line front end.
 """
 
-from .dynamics import EngagementState, ParticleState
+from .dynamics import ParticleState
 from .errors import (
     CertificateMismatch,
     DegenerateGamma,
@@ -64,7 +64,6 @@ __all__ = [
     "Constant",
     "DegenerateGamma",
     "DegenerateStart",
-    "EngagementState",
     "Exact",
     "GainCertificate",
     "InvalidGeometry",

@@ -68,15 +68,6 @@ class ParticleState:
     heading: float
 
 
-@dataclass(frozen=True)
-class EngagementState:
-    """Joint pursuer/evader state at one instant."""
-
-    pursuer: ParticleState
-    evader: ParticleState
-    time: float
-
-
 # One RK4 step from (t, px, py, pth, ex, ey, eth) to the state at t + h in the
 # same names. The first line is stage 1's program call, which rk4_step_scalars
 # puts under ``if ue1 is None:``. bK = nu * u_e.

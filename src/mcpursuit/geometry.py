@@ -1,8 +1,8 @@
-"""The planar point and direction type of scenario states and metrics.
+"""The planar point type of a vehicle's position in a scenario state.
 
-Vector arithmetic is written out on scalars where it is used (the metrics and
-the law kernels); the rotation convention, a counterclockwise perp, is stated
-with the laws in ``guidance``.
+Vector arithmetic is written out on scalars where it is used (the metric
+kernel ``metrics.metric_values`` and the law kernels); the rotation
+convention, a counterclockwise perp, is stated with the laws in ``guidance``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class PlanarVector:
-    """A point or direction in the plane. Components must be finite."""
+    """A point in the plane. Components must be finite."""
 
     x: float
     y: float

@@ -13,6 +13,10 @@ baseline shrinks as fast as the relative speed allows; w = 0 on an interval
 is equivalent to the baseline keeping a fixed direction (pure motion
 camouflage with respect to the point at infinity).
 
+metric_values is the one kernel of these quantities, on the four scalars of r
+and rdot; the simulation loop calls it once per sample. compute_metrics calls
+it once at a (pursuer, evader) pair and names its six results (MetricSample).
+
 camouflage_test returns (worst, verdict): the largest deviation of the
 baseline across its initial bearing over |r|, and whether every sample kept
 that within the tolerance. Each check of a finished record is one pass.
@@ -21,15 +25,13 @@ that within the tolerance. Each check of a finished record is one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
-from .dynamics import EngagementState
 from .errors import CertificateMismatch, DegenerateGamma, ZeroBaseline
-from .geometry import PlanarVector
 from .guidance import MCPG
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
+    from .dynamics import ParticleState
     from .gain_design import GainCertificate
     from .scenario_io import TrajectoryRecord
 
@@ -40,13 +42,11 @@ _sqrt = math.sqrt
 ENVELOPE_SLACK_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """All per-instant diagnostics for one engagement state."""
+class MetricSample(NamedTuple):
+    """metric_values' six results at one instant, by name."""
 
-    baseline: PlanarVector
     baseline_len: float
-    rel_vel: PlanarVector
+    rel_speed: float
     gamma: float
     w_signed: float
     los_rate: float
@@ -75,22 +75,15 @@ def metric_values(
     return rn, dn, g, w, w / rn, 1.0 - g * g
 
 
-def compute_metrics(s: EngagementState, nu: float) -> MetricSample:
-    """Diagnostics at one engagement state; rdot is derived from the headings."""
-    rx = s.pursuer.position.x - s.evader.position.x
-    ry = s.pursuer.position.y - s.evader.position.y
-    drx = math.cos(s.pursuer.heading) - nu * math.cos(s.evader.heading)
-    dry = math.sin(s.pursuer.heading) - nu * math.sin(s.evader.heading)
-    rn, _, g, w, los, residual = metric_values(rx, ry, drx, dry)
-    return MetricSample(
-        baseline=PlanarVector(rx, ry),
-        baseline_len=rn,
-        rel_vel=PlanarVector(drx, dry),
-        gamma=g,
-        w_signed=w,
-        los_rate=los,
-        residual=residual,
-    )
+def compute_metrics(state: Tuple["ParticleState", "ParticleState"], nu: float) -> MetricSample:
+    """metric_values at a (pursuer, evader) pair; rdot comes from the headings."""
+    p, e = state
+    return MetricSample(*metric_values(
+        p.position.x - e.position.x,
+        p.position.y - e.position.y,
+        math.cos(p.heading) - nu * math.cos(e.heading),
+        math.sin(p.heading) - nu * math.sin(e.heading),
+    ))
 
 
 def camouflage_test(record: "TrajectoryRecord", tol: float) -> Tuple[float, bool]:

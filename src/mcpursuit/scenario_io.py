@@ -75,7 +75,7 @@ from itertools import islice
 from operator import neg
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
-from .dynamics import EngagementState, ParticleState
+from .dynamics import ParticleState
 from .errors import ParseError, ValidationError
 from .geometry import PlanarVector
 from .guidance import LAWS, PROGRAMS, EvaderProgram, PursuerLaw, Zero, stability_step_cap
@@ -159,13 +159,15 @@ class ScenarioConfig:
         nu = self.nu
         if not 0.0 <= nu < 1.0:  # before the defaults, which divide by 1 - nu
             raise ValidationError(f"nu out of [0, 1): {nu}")
+        radius = self.capture_radius
+        if not (math.isfinite(radius) and radius > 0.0):  # the cap divides by it for ppng
+            raise ValidationError(f"capture_radius must be finite and positive: {radius}")
+        cap = stability_step_cap(self.pursuer_law, nu, radius)
+        r_init = initial_range(self)
         if self.step_size is None:
-            # The default step divides by the capture radius for ppng.
-            _check_capture_radius(self.capture_radius)
-            object.__setattr__(self, "step_size",
-                               stability_step_cap(self.pursuer_law, nu, self.capture_radius))
+            object.__setattr__(self, "step_size", cap)
         if self.t_max is None:
-            object.__setattr__(self, "t_max", 2.0 * initial_range(self) / (1.0 - nu))
+            object.__setattr__(self, "t_max", 2.0 * r_init / (1.0 - nu))
         for name, p in (("pursuer_init", self.pursuer_init), ("evader_init", self.evader_init)):
             if not math.isfinite(p.heading):
                 raise ValidationError(f"{name}.heading is not finite: {p.heading}")
@@ -173,14 +175,12 @@ class ScenarioConfig:
             raise ValidationError(f"step_size must be finite and positive: {self.step_size}")
         if not (math.isfinite(self.t_max) and self.t_max >= 0.0):
             raise ValidationError(f"t_max must be finite and nonnegative: {self.t_max}")
-        _check_capture_radius(self.capture_radius)
         stride = self.sample_stride
         # The run computes with the stride as a float, so it must convert to
         # one; a bool would be written back as True, which the reader rejects.
         if not (isinstance(stride, int) and not isinstance(stride, bool)
                 and 1 <= stride <= sys.float_info.max):
             raise ValidationError(f"sample_stride must be an integer >= 1 that fits a float: {stride}")
-        r_init = initial_range(self)
         if r_init == 0.0:
             raise ValidationError("coincident initial positions: the baseline has zero length")
         if not math.isfinite(r_init):
@@ -188,7 +188,6 @@ class ScenarioConfig:
         bound = self.evader_program.max_abs_control()
         if not math.isfinite(bound):
             raise ValidationError("evader program has an unbounded curvature declaration")
-        cap = stability_step_cap(self.pursuer_law, nu, self.capture_radius)
         if self.step_size > cap * (1.0 + _CAP_SLOP):
             raise ValidationError(
                 f"step size violates stability cap: step_size={self.step_size}, cap={cap}"
@@ -214,19 +213,15 @@ class ScenarioConfig:
 build_scenario = ScenarioConfig
 
 
-def initial_state(config: ScenarioConfig) -> EngagementState:
-    return EngagementState(pursuer=config.pursuer_init, evader=config.evader_init, time=0.0)
+def initial_state(config: ScenarioConfig) -> Tuple[ParticleState, ParticleState]:
+    """The (pursuer, evader) pair at t = 0, as compute_metrics takes it."""
+    return config.pursuer_init, config.evader_init
 
 
 def initial_range(config: ScenarioConfig) -> float:
     dx = config.pursuer_init.position.x - config.evader_init.position.x
     dy = config.pursuer_init.position.y - config.evader_init.position.y
     return math.sqrt(dx * dx + dy * dy)
-
-
-def _check_capture_radius(capture_radius: float) -> None:
-    if not (math.isfinite(capture_radius) and capture_radius > 0.0):
-        raise ValidationError(f"capture_radius must be finite and positive: {capture_radius}")
 
 
 # ---------------------------------------------------------------------------

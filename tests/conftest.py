@@ -8,9 +8,9 @@ steered by one takes the same path as a run of a shipped law.
 import csv
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
-from mcpursuit.dynamics import EngagementState, ParticleState
+from mcpursuit.dynamics import ParticleState
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import _Law
 
@@ -74,7 +74,22 @@ class Switch:
         return lambda t: u if t <= t_off else after
 
 
-def state_from_rel(rx, ry, drx, dry, nu, t=0.0, evader_at=(0.0, 0.0)):
+class State(NamedTuple):
+    """An engagement instant: the (pursuer, evader) pair compute_metrics takes."""
+
+    pursuer: ParticleState
+    evader: ParticleState
+
+
+def rel_of(s, nu):
+    """The baseline and relative velocity (rx, ry, drx, dry) at state s."""
+    p, e = s
+    return (p.position.x - e.position.x, p.position.y - e.position.y,
+            math.cos(p.heading) - nu * math.cos(e.heading),
+            math.sin(p.heading) - nu * math.sin(e.heading))
+
+
+def state_from_rel(rx, ry, drx, dry, nu, evader_at=(0.0, 0.0)):
     """Build an engagement state with baseline (rx, ry) and relative velocity
     close to (drx, dry).
 
@@ -102,18 +117,15 @@ def state_from_rel(rx, ry, drx, dry, nu, t=0.0, evader_at=(0.0, 0.0)):
         pth = math.atan2(dry + nu * ey_dir, drx + nu * ex_dir)
         eth = math.atan2(ey_dir, ex_dir)
     ex0, ey0 = evader_at
-    return EngagementState(
-        pursuer=ParticleState(PlanarVector(ex0 + rx, ey0 + ry), pth),
-        evader=ParticleState(PlanarVector(ex0, ey0), eth),
-        time=t,
-    )
+    return State(ParticleState(PlanarVector(ex0 + rx, ey0 + ry), pth),
+                 ParticleState(PlanarVector(ex0, ey0), eth))
 
 
-def scalar_args(s, ue=0.0):
-    """The 12 arguments of the scalar control convention at state s, with u_e = ue."""
-    p, e = s.pursuer, s.evader
+def scalar_args(s, ue=0.0, t=0.0):
+    """The 12 arguments of the scalar control convention at state s and time t, with u_e = ue."""
+    p, e = s
     return (
-        s.time,
+        t,
         p.position.x, p.position.y, p.heading, math.cos(p.heading), math.sin(p.heading),
         e.position.x, e.position.y, e.heading, math.cos(e.heading), math.sin(e.heading),
         ue,
@@ -122,11 +134,8 @@ def scalar_args(s, ue=0.0):
 
 def state_at(record, i):
     """The engagement state of a record's sample i."""
-    return EngagementState(
-        pursuer=ParticleState(PlanarVector(record.px[i], record.py[i]), record.ptheta[i]),
-        evader=ParticleState(PlanarVector(record.ex[i], record.ey[i]), record.etheta[i]),
-        time=record.t[i],
-    )
+    return State(ParticleState(PlanarVector(record.px[i], record.py[i]), record.ptheta[i]),
+                 ParticleState(PlanarVector(record.ex[i], record.ey[i]), record.etheta[i]))
 
 
 def csv_columns(source):

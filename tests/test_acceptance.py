@@ -18,7 +18,7 @@ import pytest
 from conftest import Steer, csv_columns, scalar_args, state_at
 from mcpursuit.cli import DEFAULT_EPSILON_TARGET
 from mcpursuit.cli import main as cli_main
-from mcpursuit.dynamics import EngagementState, ParticleState
+from mcpursuit.dynamics import ParticleState
 from mcpursuit.gain_design import design_certificate
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import (
@@ -52,7 +52,7 @@ def _report(tag, ok, detail):
 
 
 def _gamma0_of(nu, pursuer, evader):
-    return compute_metrics(EngagementState(pursuer, evader, 0.0), nu).gamma
+    return compute_metrics((pursuer, evader), nu).gamma
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,30 @@ def test_tripling_the_gain_cuts_ripple_about_ninefold():
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
+def _shipped():
+    """(name, config) of each shipped scenario, in name order."""
+    for name in sorted(os.listdir(SCENARIOS)):
+        with open(os.path.join(SCENARIOS, name), encoding="utf-8") as f:
+            yield name[:-4], parse_scenario(f.read())
+
+
+def _designed(config):
+    """The certificate certify designs for a scenario."""
+    sample = compute_metrics(initial_state(config), config.nu)
+    return design_certificate(
+        nu=config.nu, u_e_max=config.evader_program.max_abs_control(),
+        gamma0=sample.gamma, r_init=sample.baseline_len,
+        epsilon_target=DEFAULT_EPSILON_TARGET)
+
+
+def _mcpg_at_cap(config, mu, t_max):
+    """The scenario flown by MCPG(mu) at its stability cap, every step recorded."""
+    law = MCPG(mu)
+    return simulate(dataclasses.replace(
+        config, pursuer_law=law, sample_stride=1, t_max=t_max,
+        step_size=stability_step_cap(law, config.nu, config.capture_radius)))
+
+
 def test_band_entry_time_scales_as_one_over_the_gain():
     # The paper's high-gain limit: in scaled time tau = mu*t the gamma
     # dynamics become autonomous, so the band entry time t_enter ~ C/mu. Each
@@ -192,21 +216,12 @@ def test_band_entry_time_scales_as_one_over_the_gain():
     # certify designs, at the stability cap, whose step in tau is 0.1/(1+nu).
     t0 = time.perf_counter()
     spread = {}
-    for name in sorted(os.listdir(SCENARIOS)):
-        with open(os.path.join(SCENARIOS, name), encoding="utf-8") as f:
-            config = parse_scenario(f.read())
-        sample = compute_metrics(initial_state(config), config.nu)
-        cert = design_certificate(
-            nu=config.nu, u_e_max=config.evader_program.max_abs_control(),
-            gamma0=sample.gamma, r_init=sample.baseline_len,
-            epsilon_target=DEFAULT_EPSILON_TARGET)
+    for name, config in _shipped():
+        cert = _designed(config)
         scaled_entries = []
         for m in (0.25, 1.0, 4.0):
             mu = cert.mu * m
-            law = MCPG(mu)
-            record = simulate(dataclasses.replace(
-                config, pursuer_law=law, sample_stride=1, t_max=40.0 / mu,
-                step_size=stability_step_cap(law, config.nu, config.capture_radius)))
+            record = _mcpg_at_cap(config, mu, 40.0 / mu)
             t_enter = next((t for t, g in zip(record.t, record.gamma)
                             if g <= -1.0 + cert.epsilon), math.inf)
             scaled_entries.append(t_enter * mu)
@@ -219,8 +234,109 @@ def test_band_entry_time_scales_as_one_over_the_gain():
         "high-gain-entry-time",
         ok,
         "t_enter*mu at mu_cert*{1/4, 1, 4}: " + "; ".join(
-            f"{name[:-4]} " + "/".join(f"{v:.4f}" for v in entries) + f" (step {tau_step:.4f})"
+            f"{name} " + "/".join(f"{v:.4f}" for v in entries) + f" (step {tau_step:.4f})"
             for name, (entries, tau_step) in spread.items()) + f"; wall {wall:.2f}s",
+    )
+
+
+def _boundary_layer_error(record):
+    """Largest |gamma - gamma_bl| over a stride-1 MCPG record.
+
+    gamma_bl comes from the high-gain limit: in tau = mu*t the positions and
+    the evader's heading freeze at their t = 0 values, and the pursuer's
+    heading follows dthp/dtau = (r x v(thp))/|r|. A separate RK4 of that ODE
+    at mu*h/100 lands on every sample.
+    """
+    config = record.scenario
+    nu = config.nu
+    p, e = initial_state(config)
+    rx, ry = p.position.x - e.position.x, p.position.y - e.position.y
+    rn = math.sqrt(rx * rx + ry * ry)
+    vex, vey = nu * math.cos(e.heading), nu * math.sin(e.heading)
+
+    def w(th):
+        return (rx * (math.sin(th) - vey) - ry * (math.cos(th) - vex)) / rn
+
+    def gamma_bl(th):
+        vx, vy = math.cos(th) - vex, math.sin(th) - vey
+        return (rx * vx + ry * vy) / (rn * math.sqrt(vx * vx + vy * vy))
+
+    d = config.pursuer_law.mu * config.step_size / 100.0
+    th = p.heading
+    worst = abs(record.gamma[0] - gamma_bl(th))
+    for g in record.gamma[1:]:
+        for _ in range(100):
+            k1 = w(th)
+            k2 = w(th + 0.5 * d * k1)
+            k3 = w(th + 0.5 * d * k2)
+            k4 = w(th + d * k3)
+            th += d * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        worst = max(worst, abs(g - gamma_bl(th)))
+    return worst
+
+
+def test_gamma_converges_to_the_boundary_layer_at_rate_one_over_the_gain():
+    # The paper's high-gain limit over the whole transient: gamma(tau/mu)
+    # tends to the boundary layer's gamma_bl(tau) as 1/mu. Each shipped
+    # geometry flies MCPG to tau = 8 at a quarter, one, four and sixteen times
+    # the gain certify designs, at the stability cap and stride 1.
+    t0 = time.perf_counter()
+    ratios = {}
+    for name, config in _shipped():
+        cert = _designed(config)
+        errors = []
+        for m in (0.25, 1.0, 4.0, 16.0):
+            mu = cert.mu * m
+            record = _mcpg_at_cap(config, mu, 8.0 / mu)
+            assert record.termination == TERMINATION_TIME_LIMIT
+            errors.append(_boundary_layer_error(record))
+        ratios[name] = [a / b for a, b in zip(errors, errors[1:])]
+    wall = time.perf_counter() - t0
+    ok = all(3.5 <= r <= 4.5 for rs in ratios.values() for r in rs)
+    _report(
+        "high-gain-transient",
+        ok,
+        "max|gamma - gamma_bl| cut per 4x in mu from mu_cert/4 to 16 mu_cert, each in "
+        "[3.5, 4.5]: " + "; ".join(
+            f"{name} " + "/".join(f"{r:.3f}" for r in rs) for name, rs in ratios.items())
+        + f"; wall {wall:.2f}s",
+    )
+
+
+def test_a_rigid_motion_of_the_start_leaves_every_sample_unchanged():
+    # The laws and metrics read only relative quantities and the programs only
+    # the time, so rotating both initial states (positions and headings) by
+    # one angle and translating them moves nothing but rounding. t_max is cut
+    # to 11 to bound the test's time; circling_evader and random_weave still
+    # end by capture, the others at the time limit.
+    def moved(state, phi, dx, dy):
+        c, s = math.cos(phi), math.sin(phi)
+        x, y = state.position.x, state.position.y
+        return ParticleState(PlanarVector(c * x - s * y + dx, s * x + c * y + dy),
+                             state.heading + phi)
+
+    d_gamma = d_range = d_up = 0.0
+    ends = {}
+    same = True
+    for name, config in _shipped():
+        config = dataclasses.replace(config, t_max=min(config.t_max, 11.0))
+        a = simulate(config)
+        ends[name] = a.termination
+        for phi, dx, dy in ((0.7, 3.5, -12.25), (-2.3, -7.0, 5.5)):
+            b = simulate(dataclasses.replace(
+                config, pursuer_init=moved(config.pursuer_init, phi, dx, dy),
+                evader_init=moved(config.evader_init, phi, dx, dy)))
+            same = same and (b.termination, b.n_samples) == (a.termination, a.n_samples)
+            d_gamma = max(d_gamma, *(abs(x - y) for x, y in zip(a.gamma, b.gamma)))
+            d_range = max(d_range, *(abs(x - y) / x for x, y in zip(a.r_norm, b.r_norm)))
+            d_up = max(d_up, *(abs(x - y) for x, y in zip(a.u_p, b.u_p)))
+    ok = (same and TERMINATION_CAPTURE in ends.values()
+          and d_gamma <= 1e-9 and d_range <= 1e-8 and d_up <= 1e-9)
+    _report(
+        "rigid-motion-invariance",
+        ok,
+        f"same end and sample count: {same} ({ends}); largest |dgamma| {d_gamma:.1e} "
+        f"(budget 1e-9), relative d|r| {d_range:.1e} (1e-8), |du_p| {d_up:.1e} (1e-9)",
     )
 
 
@@ -402,7 +518,7 @@ def test_gain_families_coincide_under_their_equivalences(battery, tmp_path):
     mcpg = scalar_pursuer_control(MCPG(mu), nu)
     worst = 0.0
     for i in range(record.n_samples):
-        args = scalar_args(state_at(record, i))
+        args = scalar_args(state_at(record, i), t=record.t[i])
         a = mcpg(*args)
         b = scalar_pursuer_control(PPNG(mu * record.r_norm[i]), nu)(*args)
         scale = max(1.0, abs(a))

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rel_of, scalar_args, state_from_rel
 from mcpursuit.cli import main
+from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import DegenerateStart, InvalidGeometry, InvalidSpeedRatio
 from mcpursuit.gain_design import (
     GainCertificate,
@@ -23,6 +25,8 @@ from mcpursuit.gain_design import (
     design_certificate,
     required_c2,
 )
+from mcpursuit.geometry import PlanarVector
+from mcpursuit.guidance import MCPG, scalar_pursuer_control
 from mcpursuit.metrics import gamma_envelope, metric_values
 from mcpursuit.scenario_io import parse_scenario
 
@@ -191,6 +195,68 @@ def test_envelope_reaches_the_band_by_the_deadline(nu, u_e_max, gamma0, r_init, 
         assert cert.T == 0.0
     else:
         assert gamma_envelope(cert.gamma0, cert.c2, cert.T) <= -1.0 + cert.epsilon + 1e-9
+
+
+def _gamma_rate(cert, s, u_e):
+    """(gamma, dgamma/dt) at state s under MCPG at cert.mu and evader command u_e.
+
+    With v = x_p - nu x_e and a = dv/dt = u_p x_p^perp - nu^2 u_e x_e^perp,
+    dgamma/dt = (|v|^2 + r.a)/(|r||v|) - gamma((r.v)/|r|^2 + (v.a)/|v|^2).
+    """
+    nu = cert.nu
+    u_p = scalar_pursuer_control(MCPG(cert.mu), nu)(*scalar_args(s, u_e))
+    p, e = s
+    rx, ry, vx, vy = rel_of(s, nu)
+    ax = -u_p * math.sin(p.heading) + nu * nu * u_e * math.sin(e.heading)
+    ay = u_p * math.cos(p.heading) - nu * nu * u_e * math.cos(e.heading)
+    rr = rx * rx + ry * ry
+    vv = vx * vx + vy * vy
+    rv = rx * vx + ry * vy
+    rnvn = math.sqrt(rr * vv)
+    gamma = rv / rnvn
+    return gamma, (vv + rx * ax + ry * ay) / rnvn - gamma * (rv / rr + (vx * ax + vy * ay) / vv)
+
+
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@given(
+    st.floats(min_value=0.05, max_value=0.95),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+    st.floats(min_value=-0.98, max_value=0.95),
+    st.floats(min_value=0.1, max_value=1000.0),
+    st.floats(min_value=0.01, max_value=0.9),
+    st.lists(st.tuples(st.floats(min_value=1.0, max_value=100.0), angles, angles, angles,
+                       st.sampled_from((1.0, -1.0))), min_size=1, max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_designed_gain_meets_the_certificates_differential_inequality(
+        nu, u_e_max, gamma0, r_init, r0_frac, states):
+    # The envelope tanh(atanh(gamma0) - c2 t) solves dgamma/dt = -c2 (1 - gamma^2),
+    # so the certificate rests on dgamma/dt <= -c2 (1 - gamma^2) at every state
+    # of its region, |r| >= r0 and 1 - gamma^2 >= eps, against u_e = +-u_e_max.
+    cert = design_certificate(nu=nu, u_e_max=u_e_max, gamma0=gamma0, r_init=r_init,
+                              r0_choice=r0_frac * r_init)
+    assert not cert.met_at_start
+    for scale, bearing, pth, eth, sign in states:
+        rn = cert.r0 * scale
+        s = (ParticleState(PlanarVector(rn * math.cos(bearing), rn * math.sin(bearing)), pth),
+             ParticleState(PlanarVector(0.0, 0.0), eth))
+        gamma, rate = _gamma_rate(cert, s, sign * u_e_max)
+        if 1.0 - gamma * gamma >= cert.epsilon:
+            assert rate <= -cert.c2 * (1.0 - gamma * gamma)
+
+
+def test_the_differential_inequality_fails_just_outside_the_region():
+    # Near gamma = +1 the evader's turn moves gamma at first order in the angle
+    # between r and v, and the law damps it only at second order; choose_epsilon
+    # caps eps at 1 - gamma0^2 to keep such states out of the region.
+    cert = design_certificate(nu=0.5, u_e_max=1.0, gamma0=0.5, r_init=10.0)
+    s = state_from_rel(2.0, 0.0, 1.2 * math.cos(1e-3), 1.2 * math.sin(1e-3), cert.nu)
+    gamma, rate = _gamma_rate(cert, s, -cert.u_e_max)
+    assert 0.0 < 1.0 - gamma < 1e-5
+    assert 2.0 >= cert.r0 and 1.0 - gamma * gamma < cert.epsilon
+    assert rate > -cert.c2 * (1.0 - gamma * gamma)
 
 
 @given(

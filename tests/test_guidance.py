@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_args
-from mcpursuit.dynamics import EngagementState, ParticleState
+from conftest import State, scalar_args
+from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ZeroBaseline
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import (
@@ -31,12 +31,8 @@ headings = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 positions = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
-def _state(px, py, pth, ex, ey, eth, t=0.0):
-    return EngagementState(
-        pursuer=ParticleState(PlanarVector(px, py), pth),
-        evader=ParticleState(PlanarVector(ex, ey), eth),
-        time=t,
-    )
+def _state(px, py, pth, ex, ey, eth):
+    return State(ParticleState(PlanarVector(px, py), pth), ParticleState(PlanarVector(ex, ey), eth))
 
 
 def _u_p(law, s, nu, ue=0.0):

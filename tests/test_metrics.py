@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import state_from_rel
-from mcpursuit.dynamics import EngagementState, ParticleState
+from conftest import rel_of, state_from_rel
+from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import CertificateMismatch, DegenerateGamma, ZeroBaseline
 from mcpursuit.gain_design import design_certificate
 from mcpursuit.geometry import PlanarVector
@@ -67,12 +67,11 @@ def rel_geometries(draw):
 @settings(max_examples=200)
 def test_state_builder_realizes_requested_relative_velocity(geom):
     nu, rx, ry, drx, dry = geom
-    s = state_from_rel(rx, ry, drx, dry, nu)
-    m = compute_metrics(s, nu)
-    assert m.baseline.x == rx
-    assert m.baseline.y == ry
-    assert m.rel_vel.x == pytest.approx(drx, abs=1e-9)
-    assert m.rel_vel.y == pytest.approx(dry, abs=1e-9)
+    brx, bry, bdrx, bdry = rel_of(state_from_rel(rx, ry, drx, dry, nu), nu)
+    assert brx == rx
+    assert bry == ry
+    assert bdrx == pytest.approx(drx, abs=1e-9)
+    assert bdry == pytest.approx(dry, abs=1e-9)
 
 
 @given(rel_geometries())
@@ -81,7 +80,8 @@ def test_gamma_and_transverse_satisfy_the_unit_identity(geom):
     nu, rx, ry, drx, dry = geom
     s = state_from_rel(rx, ry, drx, dry, nu)
     m = compute_metrics(s, nu)
-    dn = math.hypot(m.rel_vel.x, m.rel_vel.y)
+    assert m == metric_values(*rel_of(s, nu))
+    dn = math.hypot(*rel_of(s, nu)[2:])
     assert -1.0 <= m.gamma <= 1.0
     assert m.gamma**2 + (m.w_signed / dn) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert m.residual == pytest.approx(1.0 - m.gamma**2, abs=1e-15)

@@ -15,8 +15,8 @@ BENCH_FILES = sorted(f for f in os.listdir(BENCH) if f.endswith(".py"))
 
 #: Names the benchmark reads that are already gone, by file. CALL_SITES
 #: still counts the CSV writer at cli.write_trajectory_csv, which the CLI
-#: stopped calling when it began streaming its rows; ROADMAP item 2 holds
-#: the mending. The set must match exactly, so mending it fails this test
+#: stopped calling when it began streaming its rows; ROADMAP item 13(c)
+#: holds the mending. The set must match exactly, so mending it fails this test
 #: until the entry goes too.
 STALE = {"layers.py": {"mcpursuit.cli.write_trajectory_csv"}}
 
