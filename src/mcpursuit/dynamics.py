@@ -166,7 +166,8 @@ _PURSUE = """\
 def rk4_pursue(law, rows, n, px, py, pth, h, nu, islice=islice, cos=cos, sin=sin, sqrt=sqrt):
 {gains}    half = 0.5 * h
     for {row} in islice(rows, n):
-{step}    return px, py, pth
+{step}    for {row} in islice(rows, 1):
+        return px, py, pth, ex, ey, eth
 """
 
 
@@ -248,8 +249,9 @@ def rk4_split(law_class: type) -> tuple:
     step's start, then every stage value of the evader's that the law reads.
     ``pursue(law, rows, n, px, py, pth, h, nu)`` runs the pursuer through
     the next n steps, reading the unpacked rows from the iterator ``rows``,
-    and returns its state; it stops early if ``rows`` runs out. They run
-    rk4_loop's texts, so their states are bitwise rk4_loop's.
+    then returns the state after them, (px, py, pth, ex, ey, eth), the
+    evader's read from one more row; None if ``rows`` runs out first. They
+    run rk4_loop's texts, so their states are bitwise rk4_loop's.
     """
     gains, law = _law_text(law_class)
     pursuer = _pursuer_half(law, law)

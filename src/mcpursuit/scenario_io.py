@@ -95,7 +95,7 @@ COUNT_BYTES = 8
 RECORD_CHUNK = 1024
 
 #: Most integration steps a scenario may ask for: ceil(t_max / step_size).
-#: At about 160k steps per second this is some ten minutes of integration.
+#: At 2.5-5 us a step (Python 3.11.7, a two-CPU Xeon VM), four to eight minutes.
 MAX_STEPS = 10**8
 
 #: Most samples a scenario may ask for: ceil(t_max / (step_size *

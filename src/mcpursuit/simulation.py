@@ -33,20 +33,20 @@ _SPLIT_AFTER = 1 << 15
 _PIPE_BYTES = 1 << 20
 
 
-def _evader_rows(evade, row: struct.Struct, end, ex, ey, eth, h, nu, evader):
-    """The rows of steps 1 to end - 1, unpacked, from a worker running the evader's half.
+def _evader_rows(evade, row: struct.Struct, ex, ey, eth, h, nu, evader):
+    """The rows of steps 1, 2, ..., unpacked, from a worker running the evader's half.
 
     Nothing happens until the first next(). It then forks, through
     scenario_io._fork, a worker that keeps only its pipe open and runs
-    ``evade`` from step 0 with the evader's state (ex, ey, eth), writing
-    the rows packed by ``row`` down the pipe, RECORD_CHUNK steps a write.
-    The worker exits when it is done or its evader half raises, after the
-    rows of the steps before. Each read fills one buffer of RECORD_CHUNK
-    rows, allocated once, and the rows are unpacked from a view of it. Step
-    0 is a sampled step, which the run takes itself, so its row is skipped.
-    The rows stop at the last whole row the stream holds, and at once if the
-    fork fails. Closing the generator or running it to its end kills and
-    reaps the worker.
+    ``evade`` from step 0 with the evader's state (ex, ey, eth), writing the
+    rows packed by ``row`` down the pipe, RECORD_CHUNK steps a write, as far
+    ahead of the reader as the pipe holds. It runs until it is killed or its
+    evader half raises, which ends the stream after the rows of the steps
+    before. Each read fills one buffer of RECORD_CHUNK rows, allocated once,
+    and the rows are unpacked from a view of it. Step 0 is a sampled step,
+    which the run takes itself, so its row is skipped. The rows stop at the
+    last whole row the stream holds, and at once if the fork fails. Closing
+    the generator or running it to its end kills and reaps the worker.
     """
     read, write = os.pipe()
     try:
@@ -57,14 +57,13 @@ def _evader_rows(evade, row: struct.Struct, end, ex, ey, eth, h, nu, evader):
         pass  # a smaller pipe only lets the worker run less far ahead
 
     def stream(k, ex, ey, eth):
-        while k < end:
-            n = min(RECORD_CHUNK, end - k)
+        while True:
             chunk = []
             try:
-                ex, ey, eth = evade(k, n, ex, ey, eth, h, nu, evader, chunk.append)
+                ex, ey, eth = evade(k, RECORD_CHUNK, ex, ey, eth, h, nu, evader, chunk.append)
             finally:
                 scenario_io._write_all(write, b"".join(chunk))
-            k += n
+            k += RECORD_CHUNK
 
     pid = scenario_io._fork({write}, lambda: stream(0, ex, ey, eth))
     os.close(write)
@@ -114,13 +113,13 @@ def simulate(
     fork, no other thread). Its first unsampled stretch then forks, through
     _evader_rows, a worker that runs the evader's half of dynamics.rk4_split
     and streams each step's row down a pipe; a run that ends at its first
-    sample forks nothing. The unsampled steps run the pursuer's half over
-    those rows, which hold exactly what rk4_loop would compute, so the
-    record is the same bit for bit. If the stream ends short (the fork
-    failed, the evader's half raised, or the worker died), the stretch it
-    ended in and every later one run through rk4_loop. The worker is killed
-    and reaped before simulate returns. Like TrajectoryCsvStream's writer,
-    it keeps only its own pipe. It calls its own copy of the evader
+    sample forks nothing. A stretch is one call of the pursuer's half over
+    those rows, which returns rk4_loop's state at the next sample bit for
+    bit, the evader's read from that sample's row. If the stream ends short
+    (the fork failed, the evader's half raised, or the worker died), the
+    stretch it ended in and every later one run through rk4_loop. simulate
+    kills and reaps the worker before it returns. Like TrajectoryCsvStream's
+    writer, it keeps only its own pipe. It calls its own copy of the evader
     program's closure, which must therefore depend on the time alone.
 
     ``on_chunk``, if given, is called with a memoryview of the samples just
@@ -178,11 +177,9 @@ def simulate(
     k = 0
     termination = TERMINATION_TIME_LIMIT
     rows = None  # the worker's rows, until its stream ends
-    budget = math.ceil(t_max / h)
-    if stride > 1 and budget >= _SPLIT_AFTER and scenario_io._can_fork():
+    if stride > 1 and math.ceil(t_max / h) >= _SPLIT_AFTER and scenario_io._can_fork():
         evade, pursue, row = rk4_split(type(law))
-        # The worker stops past the last step the run can reach.
-        rows = _evader_rows(evade, row, budget + 2 * stride, ex, ey, eth, h, nu, ue_fn)
+        rows = _evader_rows(evade, row, ex, ey, eth, h, nu, ue_fn)
     try:
         while True:
             try:
@@ -192,20 +189,13 @@ def simulate(
                         t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
                     )
                     if stride > 1:
-                        if rows is not None:
-                            qx, qy, qth = pursue(law, rows, stride - 1, px, py, pth, h, nu)
-                            # The next sample's step starts from the evader's state in its row.
-                            start = next(rows, None)
-                            if start is None:
-                                rows = None  # the stream ended short: this stretch runs in process
-                            else:
-                                px, py, pth = qx, qy, qth
-                                ex, ey, eth = start[0], start[1], start[2]
-                        if rows is None:
-                            px, py, pth, ex, ey, eth = run(
-                                law, k - stride + 1, stride - 1, px, py, pth, ex, ey, eth, h, nu,
-                                ue_fn
-                            )
+                        state = None if rows is None else pursue(law, rows, stride - 1,
+                                                                 px, py, pth, h, nu)
+                        if state is None:
+                            rows = None  # no stream, or it has ended: run in process
+                            state = run(law, k - stride + 1, stride - 1, px, py, pth, ex, ey, eth,
+                                        h, nu, ue_fn)
+                        px, py, pth, ex, ey, eth = state
                 t = k * h
                 cp = cos(pth)
                 sp = sin(pth)

@@ -212,11 +212,12 @@ _PROGRAMS = (Zero(), Constant(0.3), Sinusoid(amplitude=0.2, angular_freq=1.1, ph
 
 
 def _outcome(run):
-    """The state's bits, or the type of what the run raised."""
+    """The state's bits, None if the run returned None, or the type of what it raised."""
     try:
-        return [v.hex() for v in run()]
+        state = run()
     except (ZeroBaseline, ValueError, OverflowError, ZeroDivisionError) as exc:
         return type(exc)
+    return None if state is None else [v.hex() for v in state]
 
 
 def _plain_steps(law, program, k0, n, state, h, nu):
@@ -249,12 +250,24 @@ def test_the_split_halves_are_bitwise_the_fused_loop(law, program, state, k0, n,
     evade, pursue, row = rk4_split(type(law))
     rows = []
     moved = _outcome(lambda: evade(k0, n, *state[3:], h, nu, evader, rows.append))
-    pursued = _outcome(lambda: pursue(law, row.iter_unpack(b"".join(rows)), n, *state[:3], h, nu))
+    if isinstance(moved, list):
+        # The row of step n, which starts from the evader's state after the n steps.
+        evade(k0 + n, 1, *map(float.fromhex, moved), h, nu, evader, rows.append)
+
+    def pursued(m):
+        """pursue's outcome over the first m rows."""
+        return _outcome(lambda: pursue(law, row.iter_unpack(b"".join(rows[:m])), n, *state[:3],
+                                       h, nu))
+
     if isinstance(fused, list):
-        assert pursued + moved == fused
+        # With the row of step n, pursue returns the whole state, the evader's too.
+        assert pursued(n + 1) == fused
+        # Without it, or with fewer rows still, pursue returns None.
+        for m in range(n + 1):
+            assert pursued(m) is None
     else:
         # A step that raises in the fused loop raises in one of its halves.
-        assert not (isinstance(moved, list) and isinstance(pursued, list))
+        assert not (isinstance(moved, list) and isinstance(pursued(n + 1), list))
     # Each row starts with the evader's state at its step's start.
     if rows:
         assert row.unpack(rows[0])[:3] == state[3:]

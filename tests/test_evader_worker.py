@@ -159,14 +159,24 @@ def test_an_infinite_pursuer_command_inside_a_streamed_stretch_ends_the_run_as_n
     _assert_same_record(record, _in_process(config))
 
 
-@pytest.mark.parametrize("after", [math.inf, math.nan])
-def test_an_evader_that_goes_non_finite_ends_the_stream_short(after):
-    # After t = 0.62, inside the stretch after the sample at 0.6, the evader's
-    # command is ``after``. An infinite heading raises in the worker, whose
-    # stream then ends; that stretch runs again in process and raises there
-    # too. A NaN raises nowhere: the stream goes on, and the state at the
-    # next sample is not finite.
-    config = _scenario(evader_program=Switch(0.0, t_off=0.62, after=after), sample_stride=10)
+@pytest.mark.parametrize("t_off, after, last", [
+    pytest.param(0.62, math.inf, 0.6, id="inf"),
+    pytest.param(0.62, math.nan, 0.6, id="nan"),
+    # Infinite from the first step after the sample at step 120,
+    pytest.param(0.606, math.inf, 0.6, id="inf-at-step-121"),
+    # from the last step before the sample at step 130,
+    pytest.param(0.646, math.inf, 0.6, id="inf-at-step-129"),
+    # and from step 130: the stream holds the stretch but not the next sample's row.
+    pytest.param(0.651, math.inf, 0.65, id="inf-at-step-130"),
+])
+def test_an_evader_that_goes_non_finite_ends_the_stream_short(t_off, after, last):
+    # After t_off, inside or at the end of the stretch from step 121 to 129,
+    # the evader's command is ``after``. An infinite heading raises in the
+    # worker, whose stream then ends; that stretch runs again in process,
+    # and raises there too unless it does not reach t_off. A NaN raises
+    # nowhere: the stream goes on, and the state at the next sample is not
+    # finite.
+    config = _scenario(evader_program=Switch(0.0, t_off=t_off, after=after), sample_stride=10)
     calls = []
     real = simulation.rk4_loop
 
@@ -183,11 +193,12 @@ def test_an_evader_that_goes_non_finite_ends_the_stream_short(after):
         record = simulation.simulate(config)
     assert len(forks) == 1
     assert record.termination == TERMINATION_NON_FINITE
-    assert record.t[-1] == pytest.approx(0.6)
-    # Before the start point each stretch runs in process; after it, only
-    # the stretch in which the stream ended short.
-    assert [k for k in calls if k > 20] == ([121] if math.isinf(after) else [])
+    assert record.t[-1] == pytest.approx(last)
+    # The run streams from its first stretch, so only the stretch in which
+    # the stream ended short runs through rk4_loop.
+    assert calls == ([121] if math.isinf(after) else [])
     _assert_same_record(record, _in_process(config))
+    _assert_no_children()
 
 
 @dataclass(frozen=True)
