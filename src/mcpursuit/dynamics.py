@@ -20,28 +20,28 @@ pursuer's half (its trig, positions and update, with a slot per stage for one
 control text, written in the convention's plain names and renamed to the
 stage's values: cp2, px2, a2, ...) and the evader's move. The evader's half
 reads nothing of the pursuer, because u_e is a function of time alone.
-Four functions are compiled from the texts:
+Two sources are compiled from the texts:
 
 * rk4_step_scalars, one step calling the controls it is given, compiled at
   import. A stage-1 control the caller already evaluated (simulate does, to
   record it at a sample) is passed as a trailing argument and not called again.
-* rk4_loop(law_class), ``n`` steps with the law's kernel inline at each stage;
-  only the evader stays a call.
-* rk4_split(law_class), the same steps in two loops: ``rk4_evade`` runs the
-  evader's half and move and packs each step's row, the evader's values that
-  the pursuer's half reads; ``rk4_pursue`` runs the pursuer's half over those
-  rows. simulate runs the two in two processes.
+* a law's code, one source with the law's kernel inline at each stage,
+  compiled at the law's first use and cached per law class. Three functions
+  read it: rk4_loop(law_class), ``n`` steps in which only the evader stays a
+  call; rk4_split(law_class), the same steps in two loops, ``rk4_evade``
+  running the evader's half and move and packing each step's row, the
+  evader's values that the pursuer's half reads, and ``rk4_pursue`` running
+  the pursuer's half over those rows (simulate runs the two in two
+  processes); and law_control(law_class), the law's closure.
 
-The last three are compiled on first use and cached per law class. All four
-run the same texts, so they give bitwise the same states. law_control
-compiles the law's closure from the same kernel text, so ``n`` steps of a
-loop are bitwise ``n`` rk4_step_scalars calls with the closure. A kernel is
-an expression in rx, ry (pursuer minus evader), drx, dry (its rate), rsq =
-rx*rx + ry*ry, the stage's t, px, py, pth, ex, ey, eth, cp, sp, ce, se and
-ue, nu, sqrt and the law's fields; a zero baseline raises ZeroBaseline
-before it. A field named like a name of the generated code (h, nu, t, px,
-cp1, rows, ...; all of them in _TAKEN) is a ValueError: binding it would
-overwrite that name.
+All of them run the same texts, so they give bitwise the same states, and
+``n`` steps of a loop are bitwise ``n`` rk4_step_scalars calls with the
+closure. A kernel is an expression in rx, ry (pursuer minus evader), drx,
+dry (its rate), rsq = rx*rx + ry*ry, the stage's t, px, py, pth, ex, ey,
+eth, cp, sp, ce, se and ue, nu, sqrt and the law's fields; a zero baseline
+raises ZeroBaseline before it. A field named like a name of the generated
+code (h, nu, t, px, cp1, rows, ...; all of them in _TAKEN) is a ValueError:
+binding it would overwrite that name.
 """
 
 from __future__ import annotations
@@ -137,36 +137,35 @@ if rsq == 0.0:
     raise ZeroBaseline("pursuit law undefined at zero baseline")
 a = """
 
-# The two functions compiled per law: the fused loop and the closure's maker.
+# The code compiled per law: the closure's maker, the fused loop and its two
+# halves for a split run (rk4_evade puts each step's row, rk4_pursue reads it).
 # {gains} binds the law's fields to locals of the same names.
-_LOOP = """\
-def rk4_loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader, cos=cos, sin=sin, sqrt=sqrt):
-{gains}    half = 0.5 * h
-    for k in range(k, k + n):
-        t = k * h
-{step}    return px, py, pth, ex, ey, eth
-"""
-_MAKE = """\
+_LAW_CODE = """\
 def make(law, nu):
 {gains}    def control(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue):
         vce = nu * ce; vse = nu * se
 {law}        return a
     return control
-"""
 
-# _LOOP's two halves for a split run: rk4_evade puts each step's row, rk4_pursue reads it.
-_EVADE = """\
+
+def rk4_loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader, cos=cos, sin=sin, sqrt=sqrt):
+{gains}    half = 0.5 * h
+    for k in range(k, k + n):
+        t = k * h
+{step}    return px, py, pth, ex, ey, eth
+
+
 def rk4_evade(k, n, ex, ey, eth, h, nu, evader, put, pack=pack, cos=cos, sin=sin):
     half = 0.5 * h
     for k in range(k, k + n):
         t = k * h
-{step}    return ex, ey, eth
-"""
-_PURSUE = """\
+{evade}    return ex, ey, eth
+
+
 def rk4_pursue(law, rows, n, px, py, pth, h, nu, islice=islice, cos=cos, sin=sin, sqrt=sqrt):
 {gains}    half = 0.5 * h
-    for {row} in islice(rows, n):
-{step}    for {row} in islice(rows, 1):
+    for {columns} in islice(rows, n):
+{pursue}    for {columns} in islice(rows, 1):
         return px, py, pth, ex, ey, eth
 """
 
@@ -178,8 +177,7 @@ def _names(text: str) -> list:
 
 # Every name the generated code uses besides a kernel's own; a law field may
 # not take one of them, since binding it would overwrite the step's value.
-_TAKEN = frozenset(_names(_EVADER_HALF + _PURSUER_HALF + _EVADER_MOVE + _LAW + _LOOP + _MAKE
-                          + _EVADE + _PURSUE))
+_TAKEN = frozenset(_names(_EVADER_HALF + _PURSUER_HALF + _EVADER_MOVE + _LAW + _LAW_CODE))
 
 
 def _stage(text: str, k: int, t: str, state: str, ue: str) -> str:
@@ -196,23 +194,13 @@ def _pursuer_half(first: str, control: str) -> str:
     return _PURSUER_HALF.format(**slots)
 
 
-def _compile(source: str, filename: str, name: str, **names) -> Callable:
+def _compile(source: str, filename: str, **names) -> dict:
     namespace = dict(__name__=__name__, cos=math.cos, sin=math.sin, sqrt=math.sqrt,
                      islice=itertools.islice, ZeroBaseline=ZeroBaseline, **names)
     exec(compile(source, filename, "exec"), namespace)
     # Tracebacks and inspect show the generated lines.
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return namespace[name]
-
-
-def _law_text(law_class: type) -> tuple:
-    names = [f.name for f in fields(law_class)]
-    for name in names:
-        if name in _TAKEN:
-            raise ValueError(f"{law_class.__name__} field {name!r} would overwrite a name "
-                             "of the generated RK4 step; rename the field")
-    gains = "".join(f"    {name} = law.{name}\n" for name in names)
-    return gains, _LAW + law_class.kernel + "\n"
+    return namespace
 
 
 _CALL = "a = pursuer(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue)\n"
@@ -221,7 +209,7 @@ rk4_step_scalars = _compile(
     "    half = 0.5 * h\n"
     + indent("if ue1 is None:\n    " + _EVADER_HALF
              + _pursuer_half("if a is None:\n    " + _CALL, _CALL) + _EVADER_MOVE, "    ")
-    + "    return px, py, pth, ex, ey, eth\n", "<rk4 step>", "rk4_step_scalars")
+    + "    return px, py, pth, ex, ey, eth\n", "<rk4 step>")["rk4_step_scalars"]
 rk4_step_scalars.__doc__ = """One classical RK4 step; returns the state at t + h.
 
     ``ue1`` and ``a1`` are stage-1 controls the caller has; neither given is
@@ -231,15 +219,35 @@ rk4_step_scalars.__doc__ = """One classical RK4 step; returns the state at t + h
 
 
 @functools.lru_cache(maxsize=None)
+def _law_code(law_class: type) -> dict:
+    """The namespace of ``_LAW_CODE`` compiled for ``law_class``, with ``row``, its rows' struct."""
+    names = [f.name for f in fields(law_class)]
+    for name in names:
+        if name in _TAKEN:
+            raise ValueError(f"{law_class.__name__} field {name!r} would overwrite a name "
+                             "of the generated RK4 step; rename the field")
+    law = _LAW + law_class.kernel + "\n"
+    pursuer = _pursuer_half(law, law)
+    # The evader's values that the pursuer reads, after the state they start from.
+    state = ("ex", "ey", "eth")
+    made = {"t", *state, *re.findall(r"(\w+) = ", _EVADER_HALF)}
+    values = tuple(dict.fromkeys(state + tuple(n for n in _names(pursuer) if n in made)))
+    columns = ", ".join(values)
+    row = struct.Struct(f"{len(values)}d")
+    source = _LAW_CODE.format(
+        gains="".join(f"    {name} = law.{name}\n" for name in names), law=indent(law, "        "),
+        step=indent(_EVADER_HALF + pursuer + _EVADER_MOVE, "        "), columns=columns,
+        evade=indent(_EVADER_HALF + f"put(pack({columns}))\n" + _EVADER_MOVE, "        "),
+        pursue=indent(pursuer, "        "))
+    return _compile(source, f"<rk4 {law_class.variant}>", pack=row.pack, row=row)
+
+
 def rk4_loop(law_class: type) -> Callable:
     """``loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader)`` runs steps k to
     k + n - 1 (step j starts at t = j*h) under ``law`` and returns the state after them."""
-    gains, law = _law_text(law_class)
-    step = indent(_EVADER_HALF + _pursuer_half(law, law) + _EVADER_MOVE, "        ")
-    return _compile(_LOOP.format(gains=gains, step=step), f"<rk4 {law_class.variant}>", "rk4_loop")
+    return _law_code(law_class)["rk4_loop"]
 
 
-@functools.lru_cache(maxsize=None)
 def rk4_split(law_class: type) -> tuple:
     """``(evade, pursue, row)``: rk4_loop's steps cut into the evader's half and the pursuer's.
 
@@ -253,25 +261,10 @@ def rk4_split(law_class: type) -> tuple:
     evader's read from one more row; None if ``rows`` runs out first. They
     run rk4_loop's texts, so their states are bitwise rk4_loop's.
     """
-    gains, law = _law_text(law_class)
-    pursuer = _pursuer_half(law, law)
-    # The evader's values that the pursuer reads, after the state they start from.
-    state = ("ex", "ey", "eth")
-    made = {"t", *state, *re.findall(r"(\w+) = ", _EVADER_HALF)}
-    values = tuple(dict.fromkeys(state + tuple(n for n in _names(pursuer) if n in made)))
-    names = ", ".join(values)
-    row = struct.Struct(f"{len(values)}d")
-    evader = _EVADER_HALF + f"put(pack({names}))\n" + _EVADER_MOVE
-    evade = _compile(_EVADE.format(step=indent(evader, "        ")),
-                     f"<evade {law_class.variant}>", "rk4_evade", pack=row.pack)
-    pursue = _compile(_PURSUE.format(gains=gains, row=names, step=indent(pursuer, "        ")),
-                      f"<pursue {law_class.variant}>", "rk4_pursue")
-    return evade, pursue, row
+    code = _law_code(law_class)
+    return code["rk4_evade"], code["rk4_pursue"], code["row"]
 
 
-@functools.lru_cache(maxsize=None)
 def law_control(law_class: type) -> Callable:
     """``make(law, nu)``: the law's closure in the scalar control convention."""
-    gains, law = _law_text(law_class)
-    return _compile(_MAKE.format(gains=gains, law=indent(law, "        ")),
-                    f"<control {law_class.variant}>", "make")
+    return _law_code(law_class)["make"]

@@ -74,6 +74,11 @@ class Switch:
         return lambda t: u if t <= t_off else after
 
 
+def _state(x, y, heading):
+    """A vehicle at (x, y) with the given heading."""
+    return ParticleState(PlanarVector(x, y), heading)
+
+
 class State(NamedTuple):
     """An engagement instant: the (pursuer, evader) pair compute_metrics takes."""
 

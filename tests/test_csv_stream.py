@@ -209,6 +209,30 @@ def test_a_failure_after_the_run_kills_the_writer(tmp_path, spawned, monkeypatch
     assert sorted(os.listdir(tmp_path)) == ["summary.json"]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_block_that_removes_its_csv_then_raises_propagates_its_own_error(tmp_path, spawned,
+                                                                           monkeypatch, cpus):
+    # Leaving the block finds no partial file to remove, which is no error of its own.
+    monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: cpus)
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(KeyError, match="raised in the block"):
+        with TrajectoryCsvStream(str(path)) as stream:
+            stream.send(_packed([[1.0, 2.0]] * len(CSV_COLUMNS)))
+            os.remove(path)
+            raise KeyError("raised in the block")
+    assert len(spawned) == cpus - 1
+    _assert_reaped(spawned)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("count", [3, None])
+def test_without_an_affinity_call_the_cpu_count_is_read(monkeypatch, count):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert scenario_io._usable_cpus() == (count or 1)
+    if count is None:
+        assert not scenario_io._can_fork()
+
 def _record(columns):
     return TrajectoryRecord(
         scenario=parse_scenario_with_overrides(_text("straight_chase"), {}),

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -281,7 +282,7 @@ def _names_of(source, context):
 @pytest.mark.parametrize("law", _LAWS + (Linear(0.3, 0.1),), ids=lambda law: law.variant)
 def test_the_evader_half_reads_nothing_of_the_pursuer(law):
     # The split runs the evader's texts in a process that never sees the pursuer.
-    _, control = dynamics._law_text(type(law))
+    control = dynamics._LAW + type(law).kernel + "\n"
     pursuer = dynamics._pursuer_half(control, control)
     read = _names_of(dynamics._EVADER_HALF + dynamics._EVADER_MOVE, ast.Load)
     assert not read & (_names_of(pursuer, ast.Store) | {"px", "py", "pth"})
@@ -318,7 +319,7 @@ def test_importing_the_cli_compiles_no_law_code():
         "import mcpursuit.cli\n"
         "print(*sorted(f.__code__.co_filename for f in gc.get_objects()\n"
         "              if isinstance(f, types.FunctionType)\n"
-        "              and f.__code__.co_filename.startswith(('<rk4', '<control'))), sep='|')\n"
+        "              and f.__code__.co_filename.startswith('<rk4')), sep='|')\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "<rk4 step>"
@@ -340,3 +341,19 @@ def test_a_law_field_may_not_take_a_name_of_the_generated_step(name):
         with pytest.raises(ValueError, match=f"field '{name}'"):
             compile_law(cls)
 
+
+def test_a_law_compiles_once_into_one_source():
+    compiled = []
+    real = dynamics._compile
+
+    def count(source, filename, *args, **names):
+        compiled.append(filename)
+        return real(source, filename, *args, **names)
+
+    cls = _renamed_mcpg("gain")  # a fresh class, so nothing of it is cached yet
+    with mock.patch.object(dynamics, "_compile", count):
+        loop = rk4_loop(cls)
+        make = law_control(cls)
+        evade, pursue, _ = rk4_split(cls)
+    assert compiled == [f"<rk4 {cls.variant}>"]
+    assert {f.__code__.co_filename for f in (make, loop, evade, pursue)} == {compiled[0]}

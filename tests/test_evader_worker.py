@@ -9,6 +9,7 @@ import gc
 import math
 import os
 import signal
+import sys
 import threading
 import warnings
 from contextlib import contextmanager
@@ -20,11 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Linear, Ramp, Steer, Switch
+from conftest import Linear, Ramp, Steer, Switch, _state
 from mcpursuit import scenario_io, simulation
 from mcpursuit.cli import main
-from mcpursuit.dynamics import ParticleState
-from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import MCPG, PPNG, Constant, Exact, PiecewiseRandom, Sinusoid, Zero
 from mcpursuit.scenario_io import (
     CSV_COLUMNS,
@@ -35,10 +34,6 @@ from mcpursuit.scenario_io import (
 )
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
-
-
-def _state(x, y, heading):
-    return ParticleState(PlanarVector(x, y), heading)
 
 
 def _scenario(**kwargs):
@@ -132,6 +127,21 @@ def test_the_step_budget_not_the_steps_taken_decides(stride, termination, sample
     _assert_same_record(record, _in_process(config))
     _assert_no_children()
 
+
+@pytest.mark.parametrize("gone", ["F_SETPIPE_SZ", "fcntl"])
+def test_a_worker_whose_pipe_cannot_grow_streams_the_same_run(gone, monkeypatch):
+    # Without F_SETPIPE_SZ, or without fcntl at all, the pipe keeps its default size.
+    fcntl = pytest.importorskip("fcntl")
+    if gone == "fcntl":
+        monkeypatch.setitem(sys.modules, "fcntl", None)
+    else:
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+    config = _scenario()
+    with _split(0) as forks:
+        record = simulation.simulate(config)
+    assert len(forks) == 1
+    _assert_same_record(record, _in_process(config))
+    _assert_no_children()
 
 def test_a_zero_baseline_inside_a_streamed_stretch_ends_the_run_as_capture():
     # Straight at a still evader 5 away: stage 4 of step 19 lands on it, in

@@ -14,11 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Switch, csv_columns
+from conftest import Switch, _state, csv_columns
 from mcpursuit import scenario_io
-from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ParseError, ValidationError
-from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import (
     MCPG,
     PPNG,
@@ -63,10 +61,6 @@ evader_init.heading = 0.25
 pursuer_law.variant = mcpg
 pursuer_law.mu = 3.0
 """
-
-
-def _state(x, y, heading):
-    return ParticleState(PlanarVector(x, y), heading)
 
 
 def test_parse_minimal_scenario_fills_defaults():

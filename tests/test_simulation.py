@@ -11,11 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Steer, Switch, state_at
+from conftest import Steer, Switch, _state, state_at
 from mcpursuit import scenario_io, simulation
-from mcpursuit.dynamics import ParticleState
 from mcpursuit.errors import ValidationError
-from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import MCPG, PPNG, Constant, Exact, PiecewiseRandom, Sinusoid, Zero, _Law
 from mcpursuit.metrics import compute_metrics
 from mcpursuit.scenario_io import (
@@ -49,10 +47,6 @@ class Late(_Law):
     variant: ClassVar[str] = "late"
     kernel: ClassVar[str] = "g * sqrt(t - 1.0)"
     g: float
-
-
-def _state(x, y, heading):
-    return ParticleState(PlanarVector(x, y), heading)
 
 
 def _scenario(**kwargs):
