@@ -24,7 +24,6 @@ from .scenario_io import (
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     ScenarioConfig,
-    TrajectoryCsvStream,
     TrajectoryRecord,
     emit_figure_svg,
     emit_overlay_svg,
@@ -33,6 +32,7 @@ from .scenario_io import (
     initial_state,
     parse_scenario_with_overrides,
     summary_dict,
+    trajectory_csv_stream,
     write_json,
 )
 from .simulation import simulate
@@ -91,14 +91,14 @@ def _simulate_into(
 ) -> Tuple[TrajectoryRecord, dict]:
     """Run ``config`` and write trajectory.csv, summary.json and, with ``figure``, figure.svg.
 
-    trajectory.csv is formatted while the run integrates (TrajectoryCsvStream)
-    and completed after the other files. With ``cert``, summary.json carries
-    the certificate and the envelope check's verdict. Returns the record and
-    the summary written.
+    trajectory.csv is formatted while the run integrates, by a writer that
+    trajectory_csv_stream starts before the run, and completed after the
+    other files. With ``cert``, summary.json carries the certificate and the
+    envelope check's verdict. Returns the record and the summary written.
     """
     os.makedirs(outdir, exist_ok=True)
-    with TrajectoryCsvStream(os.path.join(outdir, "trajectory.csv")) as csv:
-        record = simulate(config, on_chunk=csv.send)
+    with trajectory_csv_stream(os.path.join(outdir, "trajectory.csv")) as send:
+        record = simulate(config, on_chunk=send)
         envelope_ok = None if cert is None else check_envelope(record, cert)
         summary = summary_dict(record, cert, envelope_ok)
         with _open_out(outdir, "summary.json") as f:

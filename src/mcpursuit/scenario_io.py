@@ -48,10 +48,10 @@ recovers bit-identical doubles.
 A TrajectoryRecord keeps each of those columns as a packed ``array('d')``, 8
 bytes per value. The CSV and SVG writers stream: they format and write a row
 or a chunk of polyline points at a time and never hold a whole file or a
-whole column of text in memory. TrajectoryCsvStream formats a run's packed
-sample rows in a forked child while the run integrates; ``simulate``'s evader
-worker is started, fed and killed through the same helpers (_can_fork, _fork,
-_write_all, _kill).
+whole column of text in memory. trajectory_csv_stream forks, as its block
+starts, a child that formats a run's packed sample rows while the run
+integrates; ``simulate``'s evader worker is started, fed and killed through
+the same helpers (_can_fork, _fork, _write_all, _kill).
 
 Both JSON files, summary.json and certificate.json, share one layout,
 written by write_json: sorted keys, two-space indent, a final newline, and
@@ -70,6 +70,7 @@ import struct
 import sys
 import threading
 from array import array
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import islice
 from operator import neg
@@ -164,6 +165,8 @@ class ScenarioConfig:
             raise ValidationError(f"capture_radius must be finite and positive: {radius}")
         cap = stability_step_cap(self.pursuer_law, nu, radius)
         r_init = initial_range(self)
+        if not math.isfinite(r_init):  # before the default t_max, which it would make inf
+            raise ValidationError(f"initial range is not finite: {r_init}")
         if self.step_size is None:
             object.__setattr__(self, "step_size", cap)
         if self.t_max is None:
@@ -183,8 +186,6 @@ class ScenarioConfig:
             raise ValidationError(f"sample_stride must be an integer >= 1 that fits a float: {stride}")
         if r_init == 0.0:
             raise ValidationError("coincident initial positions: the baseline has zero length")
-        if not math.isfinite(r_init):
-            raise ValidationError(f"initial range is not finite: {r_init}")
         bound = self.evader_program.max_abs_control()
         if not math.isfinite(bound):
             raise ValidationError("evader program has an unbounded curvature declaration")
@@ -406,7 +407,7 @@ CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 #: One row as ASCII bytes: bytes %-formatting prints a float as str's does.
 CSV_ROW = (",".join([F17] * len(CSV_COLUMNS)) + "\n").encode("ascii")
 #: One sample packed as doubles, its values in CSV_COLUMNS order: the row
-#: ``simulate`` packs and TrajectoryCsvStream formats.
+#: ``simulate`` packs and trajectory_csv_stream's ``send`` formats.
 SAMPLE = struct.Struct(f"{len(CSV_COLUMNS)}d")
 
 
@@ -505,93 +506,69 @@ def _write_chunks(counts: int, data: int, out: int) -> None:
         _write_all(out, _csv_lines(block))
 
 
-class TrajectoryCsvStream:
-    """Writes a run's trajectory CSV to ``path`` while the run integrates.
+@contextmanager
+def trajectory_csv_stream(path: str):
+    """Write a run's trajectory CSV to ``path`` while the run integrates.
 
-    Use it as a context manager around ``simulate`` and pass ``send`` as its
-    ``on_chunk`` hook. The first call creates the file with its header and,
-    if _can_fork(), forks a child that runs _write_chunks on the file, a data
-    file and a count pipe. Each call then appends its packed rows to the
-    data file and their count to the pipe, so ``simulate`` never waits for
-    the child. The data file is unlinked as soon as it is opened, so no exit
-    leaves it behind. Leaving the block reaps the child and raises OSError
-    naming the file and the exit status if it failed.
-
-    If _can_fork() is false (so for a threaded caller too) or the fork
-    fails, each call formats its rows into the file itself, the same bytes.
-    If the block raises, the child is killed and a partly written file is
-    removed; a stream that was never sent rows leaves ``path`` alone.
+    Yields the ``send`` hook to pass ``simulate`` as ``on_chunk``. Entering
+    creates the file with its header and, if _can_fork(), forks a child that
+    runs _write_chunks on the file, a data file and a count pipe; each
+    ``send`` appends its packed rows to the data file and their count to the
+    pipe, so ``simulate`` never waits for the child. The data file is
+    unlinked as soon as it is opened, so no exit leaves it behind. Leaving
+    the block reaps the child and raises OSError naming the file and the
+    exit status if it failed. If _can_fork() is false (so for a threaded
+    caller too) or the fork fails, ``send`` formats the rows into the file
+    itself, the same bytes. If the block raises, the child is killed and the
+    file is removed.
     """
+    out = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    fds = [out]  # the descriptors this process holds open
+    pid = None  # the writer child, until it is reaped
 
-    def __init__(self, path: str):
-        self.path = path
-        self._pid: Optional[int] = None  # the writer child, until it is reaped
-        self._fds: List[int] = []  # the data file and the count pipe, until the child stops reading
-        self._out: Optional[int] = None  # the file, while this process formats the rows
-        self._opened = False  # whether the stream has created the file at path
+    def close() -> None:
+        while fds:
+            os.close(fds.pop())
 
-    def __enter__(self) -> "TrajectoryCsvStream":
-        return self
-
-    def send(self, rows) -> None:
+    def send(rows) -> None:
         """Hand over a buffer of packed SAMPLE rows; it is read before the call returns."""
-        if not self._opened:
-            self._start()
-        if self._out is not None:
-            _write_all(self._out, _csv_lines(rows))
-        elif self._fds:
-            data, counts = self._fds
+        if pid is None:
+            _write_all(out, _csv_lines(rows))
+        elif fds:
+            data, counts = fds
             _write_all(data, rows)
             try:
                 _write_all(counts, (len(rows) // SAMPLE.size).to_bytes(COUNT_BYTES, sys.byteorder))
             except BrokenPipeError:
-                self._close()  # the child has died; leaving the block reports its exit status
+                close()  # the child has died; leaving the block reports its exit status
 
-    def _start(self) -> None:
-        self._out = out = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        self._opened = True
+    try:
         _write_all(out, CSV_HEADER.encode("ascii"))
-        if not _can_fork():
-            return
-        data_path = f"{self.path}.{os.getpid()}.f64"
-        data = os.open(data_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-        self._fds.append(data)
-        os.unlink(data_path)
-        counts, write = os.pipe()
-        self._fds.append(write)
-        self._pid = _fork({data, counts, out, 2}, lambda: _write_chunks(counts, data, out))
-        os.close(counts)
-        if self._pid is not None:  # else the data file and pipe lie unused until the block ends
-            self._out = None
-            os.close(out)
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pid, self._pid = self._pid, None
-        done = False
-        try:
-            self._close()  # the child reads to the end of the counts and exits
-            if exc_type is None and pid is not None:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                pid = None
-                if status != 0:
-                    raise OSError(f"{self.path}: the CSV row writer exited with status {status}")
-            done = exc_type is None
-        finally:
-            if pid is not None:
-                _kill(pid)
-            if self._opened and not done:
-                try:
-                    os.remove(self.path)
-                except FileNotFoundError:
-                    pass
-
-    def _close(self) -> None:
-        for fd in self._fds:
-            os.close(fd)
-        self._fds = []
-        out, self._out = self._out, None
-        if out is not None:
-            os.close(out)
+        if _can_fork():
+            data_path = f"{path}.{os.getpid()}.f64"
+            data = os.open(data_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+            fds.append(data)
+            os.unlink(data_path)
+            counts, write = os.pipe()
+            fds.append(write)
+            pid = _fork({data, counts, out, 2}, lambda: _write_chunks(counts, data, out))
+            os.close(counts)
+            if pid is not None:  # else the data file and pipe lie unused until the block ends
+                os.close(fds.pop(0))  # the file, which the child writes
+        yield send
+        close()  # the child reads to the end of the counts and exits
+        if pid is not None:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            if status != 0:
+                raise OSError(f"{path}: the CSV row writer exited with status {status}")
+    except BaseException:
+        close()
+        if pid is not None:
+            _kill(pid)
+        with suppress(FileNotFoundError):
+            os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------

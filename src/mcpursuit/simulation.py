@@ -118,7 +118,7 @@ def simulate(
     bit, the evader's read from that sample's row. If the stream ends short
     (the fork failed, the evader's half raised, or the worker died), the
     stretch it ended in and every later one run through rk4_loop. simulate
-    kills and reaps the worker before it returns. Like TrajectoryCsvStream's
+    kills and reaps the worker before it returns. Like trajectory_csv_stream's
     writer, it keeps only its own pipe. It calls its own copy of the evader
     program's closure, which must therefore depend on the time alone.
 

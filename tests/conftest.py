@@ -79,6 +79,12 @@ def _state(x, y, heading):
     return ParticleState(PlanarVector(x, y), heading)
 
 
+def _read(path):
+    """The bytes of the file at ``path``."""
+    with open(path, "rb") as f:
+        return f.read()
+
+
 class State(NamedTuple):
     """An engagement instant: the (pursuer, evader) pair compute_metrics takes."""
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_columns
+from conftest import _read, csv_columns
 from mcpursuit import cli, scenario_io
 from mcpursuit.cli import (
     EXIT_IO,
@@ -48,11 +48,6 @@ def scenario_file(tmp_path):
     path = tmp_path / "engagement.txt"
     path.write_text(FAST_SCENARIO, encoding="utf-8")
     return str(path)
-
-
-def _read(path):
-    with open(path, "rb") as f:
-        return f.read()
 
 
 def test_run_writes_trajectory_and_summary(scenario_file, tmp_path, capsys):
@@ -305,7 +300,8 @@ def test_compare_matches_mcpg_and_exact_against_a_still_evader(scenario_file, tm
     assert cells["mcpg"][3:] == cells["exact"][3:]
 
 
-SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SCENARIOS = os.path.join(os.path.dirname(TESTS), "scenarios")
 
 
 def test_compare_flies_ppng_at_mu_times_r0(tmp_path, capsys):
@@ -363,6 +359,9 @@ OVERFLOWS = [
     # The initial range overflows to inf.
     (["run", "--figure", "--scenario", _shipped("straight_chase"),
       "--set", "evader_init.x=1e308", "--set", "t_max=0.5"], EXIT_VALIDATION),
+    # The same without t_max, whose default would be inf too.
+    (["run", "--figure", "--scenario", os.path.join(TESTS, "range_overflow.txt")],
+     EXIT_VALIDATION),
     # The first sample is non-finite, so the record is empty.
     (["run", "--figure", "--scenario", _shipped("straight_chase"),
       "--set", "pursuer_law.mu=1e308", "--set", "t_max=0"], EXIT_NUMERICAL),
@@ -381,6 +380,13 @@ OVERFLOWS = [
 def test_overflowing_inputs_exit_with_their_documented_codes(argv, code, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "o")]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in OVERFLOWS[:2]],
+                         ids=["t_max set", "t_max default"])
+def test_an_overflowing_initial_range_is_named_whether_or_not_t_max_is_set(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "mcpursuit: initial range is not finite: inf\n"
 
 
 @pytest.mark.parametrize("error", McpursuitError.__subclasses__(), ids=lambda e: e.__name__)
@@ -528,8 +534,8 @@ _BASELINE_OVERFLOW = ["run", "--scenario", _shipped("straight_chase"),
 
 
 @example(argv=OVERFLOWS[0][0])
-@example(argv=OVERFLOWS[1][0])
-@example(argv=OVERFLOWS[3][0])
+@example(argv=OVERFLOWS[2][0])
+@example(argv=OVERFLOWS[4][0])
 @example(argv=BAD_PPNG_GAINS[0])
 @example(argv=BAD_PPNG_GAINS[1])
 @example(argv=_BASELINE_OVERFLOW)

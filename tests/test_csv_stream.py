@@ -12,6 +12,7 @@ from array import array
 
 import pytest
 
+from conftest import _read
 from mcpursuit import scenario_io, simulation
 from mcpursuit.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mcpursuit.scenario_io import (
@@ -22,9 +23,9 @@ from mcpursuit.scenario_io import (
     SAMPLE,
     TERMINATION_NON_FINITE,
     TERMINATION_TIME_LIMIT,
-    TrajectoryCsvStream,
     TrajectoryRecord,
     parse_scenario_with_overrides,
+    trajectory_csv_stream,
     write_trajectory_csv,
 )
 from mcpursuit.simulation import simulate
@@ -78,11 +79,6 @@ def _reference_csv(name, overrides):
     sink = io.StringIO()
     write_trajectory_csv(record, sink)
     return record, sink.getvalue().encode("ascii")
-
-
-def _read(path):
-    with open(path, "rb") as f:
-        return f.read()
 
 
 @pytest.mark.parametrize("n", [RECORD_CHUNK - 1, RECORD_CHUNK, 2 * RECORD_CHUNK + 3])
@@ -216,10 +212,30 @@ def test_a_block_that_removes_its_csv_then_raises_propagates_its_own_error(tmp_p
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: cpus)
     path = tmp_path / "trajectory.csv"
     with pytest.raises(KeyError, match="raised in the block"):
-        with TrajectoryCsvStream(str(path)) as stream:
-            stream.send(_packed([[1.0, 2.0]] * len(CSV_COLUMNS)))
+        with trajectory_csv_stream(str(path)) as send:
+            send(_packed([[1.0, 2.0]] * len(CSV_COLUMNS)))
             os.remove(path)
             raise KeyError("raised in the block")
+    assert len(spawned) == cpus - 1
+    _assert_reaped(spawned)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_block_that_raises_before_any_rows_removes_a_stale_csv(tmp_path, spawned, monkeypatch,
+                                                                  cpus):
+    # The block created the file on entry, so the stale one is gone even
+    # though no row was sent.
+    if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
+        pytest.skip("needs /proc/<pid>/fd")
+    monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: cpus)
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes(b"rows of an earlier run\n")
+    before = _open_fds()
+    with pytest.raises(KeyError, match="raised in the block"):
+        with trajectory_csv_stream(str(path)):
+            raise KeyError("raised in the block")
+    assert _open_fds() == before
     assert len(spawned) == cpus - 1
     _assert_reaped(spawned)
     assert os.listdir(tmp_path) == []
@@ -297,8 +313,8 @@ def test_the_writer_child_keeps_only_its_three_descriptors_and_fd_2(tmp_path, sp
     path = tmp_path / "trajectory.csv"
     held = open(tmp_path / "held", "wb")  # open in the parent at the fork
     try:
-        with TrajectoryCsvStream(str(path)) as stream:
-            stream.send(memoryview(_packed(columns)))
+        with trajectory_csv_stream(str(path)) as send:
+            send(memoryview(_packed(columns)))
             # Once the chunk is in the file the child waits on the count pipe.
             deadline = time.monotonic() + 30.0
             while os.path.getsize(path) < len(want) and time.monotonic() < deadline:
@@ -321,11 +337,11 @@ def _open_fds():
     return sorted(os.listdir(f"/proc/{os.getpid()}/fd"))
 
 
-def test_a_run_that_forks_the_worker_first_leaves_no_child_and_no_open_file(tmp_path, spawned,
-                                                                           monkeypatch, capsys):
+def test_a_run_that_forks_the_writer_then_the_worker_leaves_no_child_and_no_open_file(
+        tmp_path, spawned, monkeypatch, capsys):
+    # The CSV writer forks as the command enters its block, before the run.
     # The stride makes the run budget more than simulation._SPLIT_AFTER
-    # steps, so the evader worker starts at the first stretch; the CSV writer
-    # at sample RECORD_CHUNK.
+    # steps, so the evader worker starts at the first stretch.
     if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
         pytest.skip("needs /proc/<pid>/fd")
     monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
@@ -347,7 +363,7 @@ def test_a_run_that_forks_the_worker_first_leaves_no_child_and_no_open_file(tmp_
         assert _run("ppng_lateral", overrides, tmp_path) == EXIT_OK
         gc.collect()
     assert _open_fds() == before
-    assert len(spawned) == 2 and spawned[0] == workers[0]
+    assert len(spawned) == 2 and spawned[1] == workers[0]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -246,6 +246,13 @@ def test_a_speed_ratio_of_one_or_more_is_a_validation_error_with_the_default_t_m
                        evader_init=_state(0.0, 0.0, 0.0), pursuer_law=MCPG(2.0))
 
 
+def test_an_initial_range_that_overflows_is_named_with_the_default_t_max():
+    # The default t_max, 2 |r(0)| / (1 - nu), would be inf too, so |r(0)| is checked before it.
+    with pytest.raises(ValidationError, match=r"^initial range is not finite: inf$"):
+        build_scenario(nu=0.5, pursuer_init=_state(1e308, 0.0, 0.0),
+                       evader_init=_state(-1e308, 0.0, 0.0), pursuer_law=MCPG(1.0))
+
+
 ROUND_TRIP_CONFIGS = [
     build_scenario(
         nu=0.5,
