@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: run, sweep, certify, compare. Exit codes: 0 success, 2 usage
-error, 3 validation, parse or other package error (McpursuitError), 4 numerical
-blow-up, 5 I/O failure.
+error, 3 validation, parse or other package error (McpursuitError; a scenario
+file over MAX_SCENARIO_BYTES among them), 4 numerical blow-up, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .errors import McpursuitError, ParseError, ValidationError
-from .gain_design import GainCertificate, design_certificate
+from .gain_design import DEFAULT_EPSILON_TARGET, GainCertificate, design_certificate
 from .guidance import MCPG, PPNG, Exact, PursuerLaw, gain, scaled, stability_step_cap
 from .metrics import check_envelope, compute_metrics
 from .scenario_io import (
     KNOWN_KEYS,
+    MAX_SCENARIO_BYTES,
     TERMINATION_CAPTURE,
     TERMINATION_NON_FINITE,
     ScenarioConfig,
@@ -47,9 +48,6 @@ EXIT_IO = 5
 SWEEP_TRANSIENT_GAMMA = -0.9
 SWEEP_SETTLE_FRACTION = 0.05
 
-#: Epsilon target used by the certify subcommand.
-DEFAULT_EPSILON_TARGET = 0.01
-
 
 class _UsageError(Exception):
     pass
@@ -70,7 +68,10 @@ def _overrides(args) -> Dict[str, str]:
 
 def _load_scenario(args) -> ScenarioConfig:
     with open(args.scenario, "rb") as f:
-        data = f.read()
+        data = f.read(MAX_SCENARIO_BYTES + 1)
+    if len(data) > MAX_SCENARIO_BYTES:
+        raise ParseError(f"{args.scenario}: over the limit of MAX_SCENARIO_BYTES = "
+                         f"{MAX_SCENARIO_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -200,7 +201,6 @@ def _cmd_certify(args, config: ScenarioConfig) -> List[dict]:
         u_e_max=config.evader_program.max_abs_control(),
         gamma0=sample.gamma,
         r_init=sample.baseline_len,
-        epsilon_target=DEFAULT_EPSILON_TARGET,
         r0_choice=args.r0,
     )
     payload: dict = {"schema": 1, "certificate": asdict(cert)}
@@ -340,9 +340,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     return EXIT_OK
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

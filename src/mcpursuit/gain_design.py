@@ -24,7 +24,8 @@ for the given (epsilon_target, r0). While |r| >= r0 the certified decay
 envelope is gamma(t) <= tanh(atanh(gamma0) - c2 t).
 
 When gamma0 is already at or below -1 + epsilon_target there is nothing to
-reach: the certificate comes back with T = 0 and met_at_start set.
+reach: the certificate comes back with T = 0 and met_at_start set. The band
+certify asks for is the default epsilon_target, DEFAULT_EPSILON_TARGET.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateStart, InvalidGeometry, InvalidSpeedRatio
+
+DEFAULT_EPSILON_TARGET = 0.01
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def design_certificate(
     u_e_max: float,
     gamma0: float,
     r_init: float,
-    epsilon_target: float = 0.01,
+    epsilon_target: float = DEFAULT_EPSILON_TARGET,
     r0_choice: float | None = None,
 ) -> GainCertificate:
     """Pick the minimal certified MCPG gain for one engagement.

@@ -99,6 +99,9 @@ RECORD_CHUNK = 1024
 #: At 2.5-5 us a step (Python 3.11.7, a two-CPU Xeon VM), four to eight minutes.
 MAX_STEPS = 10**8
 
+#: Most bytes a scenario file may hold; the CLI reads no further.
+MAX_SCENARIO_BYTES = 1 << 20
+
 #: Most samples a scenario may ask for: ceil(t_max / (step_size *
 #: sample_stride)); the record holds at most one more. The 14 packed columns
 #: of 10**7 samples take about 1.1 GB.
@@ -647,14 +650,14 @@ def _write_polyline(sink: TextIO, xs: Sequence[float], ys: Sequence[float], styl
     write('"/>\n')
 
 
-def _emit_svg(records: List[TrajectoryRecord], sink: TextIO, evader_stroke: str,
-              figure: bool = False) -> None:
+def _emit_svg(records: List[TrajectoryRecord], sink: TextIO, figure: bool) -> None:
     """Render each record's pursuer path over the dashed evader path of the longest one.
 
     The y axis is flipped so the figure reads in the usual orientation. A
     ``figure`` draws its one record with light baseline segments at evenly
     spaced sample indices under the paths, and a one-sample record as two
-    dots. Output depends only on the records.
+    dots. Its evader path is grey, an overlay's red. Output depends only on
+    the records and ``figure``.
     """
     evader = max(records, key=lambda r: r.n_samples)
     pxs, pys, exs, eys = evader.px, evader.py, evader.ex, evader.ey
@@ -679,7 +682,8 @@ def _emit_svg(records: List[TrajectoryRecord], sink: TextIO, evader_stroke: str,
             return f'stroke-dasharray="{_fmt(on * sw)} {_fmt(off * sw)}"'
 
         width = f'stroke-width="{_fmt(sw)}"'
-        _write_polyline(sink, exs, eys, f'stroke="{evader_stroke}" {width} {dashes(3.0, 2.0)}')
+        stroke = "#333333" if figure else "#bb4444"
+        _write_polyline(sink, exs, eys, f'stroke="{stroke}" {width} {dashes(3.0, 2.0)}')
         styles = ('stroke="#111111"', f'stroke="#555555" {dashes(5.0, 2.5)}',
                   f'stroke="#999999" {dashes(1.5, 1.5)}')
         for idx, rec in enumerate(records):
@@ -689,11 +693,11 @@ def _emit_svg(records: List[TrajectoryRecord], sink: TextIO, evader_stroke: str,
 
 def emit_figure_svg(record: TrajectoryRecord, sink: TextIO) -> None:
     """Render one engagement as SVG: its paths plus light baseline segments."""
-    _emit_svg([record], sink, "#333333", figure=True)
+    _emit_svg([record], sink, figure=True)
 
 
 def emit_overlay_svg(records: List[TrajectoryRecord], sink: TextIO) -> None:
     """Overlay several pursuer paths over a shared evader path."""
     if not records:
         raise ValidationError("overlay needs at least one record")
-    _emit_svg(records, sink, "#bb4444")
+    _emit_svg(records, sink, figure=False)

@@ -175,7 +175,6 @@ def simulate(
     step = rk4_step_scalars
 
     k = 0
-    termination = TERMINATION_TIME_LIMIT
     rows = None  # the worker's rows, until its stream ends
     if stride > 1 and math.ceil(t_max / h) >= _SPLIT_AFTER and scenario_io._can_fork():
         evade, pursue, row = rk4_split(type(law))
@@ -209,17 +208,17 @@ def simulate(
                 ue0 = ue_fn(t)
                 up0 = up_fn(t, px, py, pth, cp, sp, ex, ey, eth, ce, se, ue0)
             except ZeroBaseline:
-                termination = TERMINATION_CAPTURE
+                record.termination = TERMINATION_CAPTURE
                 break
             except (ValueError, OverflowError, ZeroDivisionError):
-                termination = TERMINATION_NON_FINITE
+                record.termination = TERMINATION_NON_FINITE
                 break
             if not (
                 isfinite(px) and isfinite(py) and isfinite(pth) and isfinite(ex)
                 and isfinite(ey) and isfinite(eth) and isfinite(up0) and isfinite(ue0)
                 and isfinite(rn)
             ):
-                termination = TERMINATION_NON_FINITE
+                record.termination = TERMINATION_NON_FINITE
                 break
             put(chunk, at, t, px, py, pth, ex, ey, eth, up0, ue0, rn, g, w, los, res)
             at += size
@@ -227,7 +226,7 @@ def simulate(
                 flush(at)
                 at = 0
             if rn <= capture_radius:
-                termination = TERMINATION_CAPTURE
+                record.termination = TERMINATION_CAPTURE
                 break
             if t >= t_max - half_sample:
                 break  # termination stays time_limit
@@ -237,5 +236,4 @@ def simulate(
             rows.close()  # an ended stream has reaped its worker already
 
     flush(at)
-    record.termination = termination
     return record

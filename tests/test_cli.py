@@ -1,9 +1,13 @@
-"""Command line behavior, exercised in process through main()."""
+"""Command line behavior, exercised in process through main(), and the two ways it starts."""
 
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -13,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _read, csv_columns
-from mcpursuit import cli, scenario_io
+from mcpursuit import cli, gain_design, scenario_io
 from mcpursuit.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -123,6 +127,42 @@ def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_file_offset(tmp_p
     path.write_bytes(b"\xef\xbb\xbfnu = 0.5\xff\n")
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"mcpursuit: {path}: not UTF-8 text at byte 11\n"
+
+
+def _padded_scenario(path, size):
+    """Write straight_chase to ``path``, padded with comment lines to ``size`` bytes."""
+    text = _read(_shipped("straight_chase"))
+    line = b"#" + b"x" * 998 + b"\n"
+    lines, rest = divmod(size - len(text), len(line))
+    path.write_bytes(text + line * lines + (b"#" * (rest - 1) + b"\n" if rest else b""))
+    assert os.path.getsize(path) == size
+
+
+def test_a_scenario_file_at_the_size_limit_runs(tmp_path):
+    path = tmp_path / "padded.txt"
+    _padded_scenario(path, scenario_io.MAX_SCENARIO_BYTES)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out), "--set", "t_max=0.5"]) == EXIT_OK
+    assert os.path.exists(out / "trajectory.csv")
+
+
+def test_a_scenario_file_over_the_size_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "padded.txt"
+    _padded_scenario(path, (1 << 20) + 1)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"mcpursuit: {path}: over the limit of MAX_SCENARIO_BYTES = 1048576 bytes\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_scenario_file_is_read_only_to_the_size_limit(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "/dev/zero", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "mcpursuit: /dev/zero: over the limit of MAX_SCENARIO_BYTES = 1048576 bytes\n"
+    assert not os.path.exists(out)
 
 
 # A run neither captured nor blown up ends at the first sample with
@@ -552,3 +592,63 @@ def test_any_command_line_ends_with_a_documented_exit_code(argv):
                 _strict_json(os.path.join(folder, name))
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO}, err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _module_cli(argv, **kw):
+    """Run ``python -m mcpursuit.cli argv`` on the source tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(TESTS), "src"))
+    return subprocess.run([sys.executable, "-m", "mcpursuit.cli", *argv], env=env,
+                          capture_output=True, text=True, **kw)
+
+
+def test_the_module_writes_what_main_writes(tmp_path, monkeypatch, capsys):
+    argv = ["run", "--figure", "--scenario", _shipped("straight_chase"), "--set", "t_max=0.5",
+            "--out", "out"]
+    for side in ("module", "main"):
+        os.mkdir(tmp_path / side)
+    done = _module_cli(argv, cwd=tmp_path / "module")
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    monkeypatch.chdir(tmp_path / "main")
+    assert main(argv) == EXIT_OK
+    assert done.stdout == capsys.readouterr().out
+    for name in ("trajectory.csv", "summary.json", "figure.svg"):
+        assert _read(tmp_path / "module" / "out" / name) == _read(tmp_path / "main" / "out" / name)
+
+
+# Command lines that fail, by the arguments added to a run of straight_chase,
+# with main's exit code for each.
+FAILURES = [
+    (["--set", "nu=2"], EXIT_VALIDATION),
+    (["--scenario", "missing.txt"], EXIT_IO),
+]
+
+
+@pytest.mark.parametrize("extra,code", FAILURES, ids=["nu", "missing"])
+def test_the_module_exits_with_mains_code(extra, code, tmp_path):
+    argv = ["run", "--scenario", _shipped("straight_chase"), *extra]
+    done = _module_cli(argv, cwd=tmp_path)
+    assert done.returncode == code
+    assert done.stderr.startswith("mcpursuit: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("extra,code", FAILURES, ids=["nu", "missing"])
+def test_the_console_script_target_is_main(extra, code, tmp_path, monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(TESTS), "pyproject.toml"), "rb") as f:
+        module, _, name = tomllib.load(f)["project"]["scripts"]["mcpursuit"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert target is cli.main
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["mcpursuit", "run", "--scenario",
+                                      _shipped("straight_chase"), *extra])
+    with pytest.raises(SystemExit) as exited:
+        sys.exit(target())
+    assert exited.value.code == code
+
+
+def test_certify_asks_for_design_certificates_default_band():
+    default = inspect.signature(gain_design.design_certificate).parameters["epsilon_target"]
+    assert cli.DEFAULT_EPSILON_TARGET is gain_design.DEFAULT_EPSILON_TARGET
+    assert default.default is gain_design.DEFAULT_EPSILON_TARGET
