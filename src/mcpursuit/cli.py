@@ -62,6 +62,8 @@ def _overrides(args) -> Dict[str, str]:
         key = key.strip()
         if key not in KNOWN_KEYS:
             raise _UsageError(f"--set: unknown scenario key {key!r}")
+        if key in out:
+            raise _UsageError(f"--set: duplicate key {key!r}")
         out[key] = value.strip()
     return out
 

@@ -25,14 +25,9 @@ Two sources are compiled from the texts:
 * rk4_step_scalars, one step calling the controls it is given, compiled at
   import. A stage-1 control the caller already evaluated (simulate does, to
   record it at a sample) is passed as a trailing argument and not called again.
-* a law's code, one source with the law's kernel inline at each stage,
-  compiled at the law's first use and cached per law class. Three functions
-  read it: rk4_loop(law_class), ``n`` steps in which only the evader stays a
-  call; rk4_split(law_class), the same steps in two loops, ``rk4_evade``
-  running the evader's half and move and packing each step's row, the
-  evader's values that the pursuer's half reads, and ``rk4_pursue`` running
-  the pursuer's half over those rows (simulate runs the two in two
-  processes); and law_control(law_class), the law's closure.
+* law_code(law_class), a LawCode: one source with the law's kernel inline
+  at each stage, compiled at the law's first use and cached per law class.
+  The LawCode docstring gives the calling conventions of its four functions.
 
 All of them run the same texts, so they give bitwise the same states, and
 ``n`` steps of a loop are bitwise ``n`` rk4_step_scalars calls with the
@@ -54,7 +49,7 @@ import re
 import struct
 from dataclasses import dataclass, fields
 from textwrap import indent
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ZeroBaseline
 from .geometry import PlanarVector
@@ -138,7 +133,7 @@ if rsq == 0.0:
 a = """
 
 # The code compiled per law: the closure's maker, the fused loop and its two
-# halves for a split run (rk4_evade puts each step's row, rk4_pursue reads it).
+# halves for a split run (evade puts each step's row, pursue reads it).
 # {gains} binds the law's fields to locals of the same names.
 _LAW_CODE = """\
 def make(law, nu):
@@ -148,21 +143,21 @@ def make(law, nu):
     return control
 
 
-def rk4_loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader, cos=cos, sin=sin, sqrt=sqrt):
+def loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader, cos=cos, sin=sin, sqrt=sqrt):
 {gains}    half = 0.5 * h
     for k in range(k, k + n):
         t = k * h
 {step}    return px, py, pth, ex, ey, eth
 
 
-def rk4_evade(k, n, ex, ey, eth, h, nu, evader, put, pack=pack, cos=cos, sin=sin):
+def evade(k, n, ex, ey, eth, h, nu, evader, put, pack=pack, cos=cos, sin=sin):
     half = 0.5 * h
     for k in range(k, k + n):
         t = k * h
 {evade}    return ex, ey, eth
 
 
-def rk4_pursue(law, rows, n, px, py, pth, h, nu, islice=islice, cos=cos, sin=sin, sqrt=sqrt):
+def pursue(law, rows, n, px, py, pth, h, nu, islice=islice, cos=cos, sin=sin, sqrt=sqrt):
 {gains}    half = 0.5 * h
     for {columns} in islice(rows, n):
 {pursue}    for {columns} in islice(rows, 1):
@@ -218,9 +213,34 @@ rk4_step_scalars.__doc__ = """One classical RK4 step; returns the state at t + h
     raises ValueError, which simulate turns into a non_finite end."""
 
 
+class LawCode(NamedTuple):
+    """A law class's compiled code. Its functions run the same texts, so their
+    states are bitwise each other's.
+
+    ``make(law, nu)``: the law's closure in the scalar control convention.
+    ``loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader)`` runs steps k
+    to k + n - 1 (step j starts at t = j*h) under ``law`` and returns the
+    state after them.
+    ``evade(k, n, ex, ey, eth, h, nu, evader, put)`` runs the evader through
+    the same steps and returns its state after them. Each step passes ``put``
+    one row packed by the struct ``row``: the evader's state at the step's
+    start, then every stage value of the evader's that the law reads.
+    ``pursue(law, rows, n, px, py, pth, h, nu)`` runs the pursuer through
+    the next n steps, reading the unpacked rows from the iterator ``rows``,
+    then returns the state after them, (px, py, pth, ex, ey, eth), the
+    evader's read from one more row; None if ``rows`` runs out first.
+    """
+
+    make: Callable
+    loop: Callable
+    evade: Callable
+    pursue: Callable
+    row: struct.Struct
+
+
 @functools.lru_cache(maxsize=None)
-def _law_code(law_class: type) -> dict:
-    """The namespace of ``_LAW_CODE`` compiled for ``law_class``, with ``row``, its rows' struct."""
+def law_code(law_class: type) -> LawCode:
+    """``_LAW_CODE`` compiled for ``law_class``."""
     names = [f.name for f in fields(law_class)]
     for name in names:
         if name in _TAKEN:
@@ -239,32 +259,5 @@ def _law_code(law_class: type) -> dict:
         step=indent(_EVADER_HALF + pursuer + _EVADER_MOVE, "        "), columns=columns,
         evade=indent(_EVADER_HALF + f"put(pack({columns}))\n" + _EVADER_MOVE, "        "),
         pursue=indent(pursuer, "        "))
-    return _compile(source, f"<rk4 {law_class.variant}>", pack=row.pack, row=row)
-
-
-def rk4_loop(law_class: type) -> Callable:
-    """``loop(law, k, n, px, py, pth, ex, ey, eth, h, nu, evader)`` runs steps k to
-    k + n - 1 (step j starts at t = j*h) under ``law`` and returns the state after them."""
-    return _law_code(law_class)["rk4_loop"]
-
-
-def rk4_split(law_class: type) -> tuple:
-    """``(evade, pursue, row)``: rk4_loop's steps cut into the evader's half and the pursuer's.
-
-    ``evade(k, n, ex, ey, eth, h, nu, evader, put)`` runs the evader through
-    steps k to k + n - 1 and returns its state after them. Each step passes
-    ``put`` one row packed by the struct ``row``: the evader's state at the
-    step's start, then every stage value of the evader's that the law reads.
-    ``pursue(law, rows, n, px, py, pth, h, nu)`` runs the pursuer through
-    the next n steps, reading the unpacked rows from the iterator ``rows``,
-    then returns the state after them, (px, py, pth, ex, ey, eth), the
-    evader's read from one more row; None if ``rows`` runs out first. They
-    run rk4_loop's texts, so their states are bitwise rk4_loop's.
-    """
-    code = _law_code(law_class)
-    return code["rk4_evade"], code["rk4_pursue"], code["row"]
-
-
-def law_control(law_class: type) -> Callable:
-    """``make(law, nu)``: the law's closure in the scalar control convention."""
-    return _law_code(law_class)["make"]
+    code = _compile(source, f"<rk4 {law_class.variant}>", pack=row.pack)
+    return LawCode(code["make"], code["loop"], code["evade"], code["pursue"], row)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Dict, Union
 
-from .dynamics import law_control
+from .dynamics import law_code
 from .errors import ValidationError
 
 _sin = math.sin
@@ -277,7 +277,7 @@ def scaled(law: PursuerLaw, multiplier: float) -> PursuerLaw:
 
 def scalar_pursuer_control(law: PursuerLaw, nu: float) -> Callable[..., float]:
     """Fast closure for the integrator's scalar control convention."""
-    return law_control(type(law))(law, nu)
+    return law_code(type(law)).make(law, nu)
 
 
 def scalar_evader_control(program: EvaderProgram) -> Callable[[float], float]:

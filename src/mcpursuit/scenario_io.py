@@ -54,11 +54,12 @@ integrates; ``simulate``'s evader worker is started, fed and killed through
 the same helpers (_can_fork, _fork, _write_all, _kill).
 
 Both JSON files, summary.json and certificate.json, share one layout,
-written by write_json: sorted keys, two-space indent, a final newline, and
-``"schema": 1``. Figures are self-contained SVG 1.1 with an auto-fitted
-viewBox and a 5 percent margin, drawn by one body: solid pursuer paths over
-a dashed evader path. A run's figure adds light gray baseline segments at
-evenly spaced sample indices; an overlay draws several pursuer paths.
+written by write_json: sorted keys, two-space indent, a final newline; their
+``"schema": 1`` comes from summary_dict and certify's payload. Figures are
+self-contained SVG 1.1 with an auto-fitted viewBox and a 5 percent margin,
+drawn by one body: solid pursuer paths over a dashed evader path. A run's
+figure adds light gray baseline segments at evenly spaced sample indices; an
+overlay draws several pursuer paths.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ class TrajectoryRecord:
     """Columnar record of one simulation; one row per sample instant.
 
     Treated as immutable once the simulation returns it. Sample times are
-    k * step_size * sample_stride for consecutive k starting at 0. The
+    (k * sample_stride) * step_size for consecutive k starting at 0. The
     simulation fills each column as a packed ``array('d')``; any sequence of
     floats, such as a list, works as a column for the readers and writers.
     """

@@ -8,7 +8,7 @@ import struct
 from typing import Callable, Optional
 
 from . import scenario_io
-from .dynamics import rk4_loop, rk4_split, rk4_step_scalars
+from .dynamics import law_code, rk4_step_scalars
 from .errors import ZeroBaseline
 from .guidance import scalar_evader_control, scalar_pursuer_control
 from .metrics import metric_values
@@ -102,25 +102,25 @@ def simulate(
     ZeroDivisionError as "non_finite". Controls recorded at a sample are the
     ones steering the step that leaves it: they are handed to that step as
     its RK4 stage 1, so each control is evaluated once per stage, sampled or
-    not. The stride - 1 unsampled steps after it are one call of the law's
-    dynamics.rk4_loop. There is no other path: a run is steered only by the
-    scenario's law and program records.
+    not. The stride - 1 unsampled steps after it are one call of ``loop`` of
+    the law's dynamics.law_code, looked up once per run. There is no other
+    path: a run is steered only by the scenario's law and program records.
 
     A long strided run moves its evader to a second CPU. Before its first
     step, simulate decides whether the run streams its evader: it does if
     sample_stride > 1, its step budget ceil(t_max / step_size) is at least
     _SPLIT_AFTER (2**15), and scenario_io._can_fork() (two usable CPUs,
     fork, no other thread). Its first unsampled stretch then forks, through
-    _evader_rows, a worker that runs the evader's half of dynamics.rk4_split
-    and streams each step's row down a pipe; a run that ends at its first
-    sample forks nothing. A stretch is one call of the pursuer's half over
-    those rows, which returns rk4_loop's state at the next sample bit for
-    bit, the evader's read from that sample's row. If the stream ends short
-    (the fork failed, the evader's half raised, or the worker died), the
-    stretch it ended in and every later one run through rk4_loop. simulate
-    kills and reaps the worker before it returns. Like trajectory_csv_stream's
-    writer, it keeps only its own pipe. It calls its own copy of the evader
-    program's closure, which must therefore depend on the time alone.
+    _evader_rows, a worker that runs the code's ``evade`` and streams each
+    step's row down a pipe; a run that ends at its first sample forks
+    nothing. A stretch is one call of ``pursue`` over those rows, which
+    returns ``loop``'s state at the next sample bit for bit, the evader's
+    read from that sample's row. If the stream ends short (the fork failed,
+    the evader's half raised, or the worker died), the stretch it ended in
+    and every later one run through ``loop``. simulate kills and reaps the
+    worker before it returns. Like trajectory_csv_stream's writer, it keeps
+    only its own pipe. It calls its own copy of the evader program's
+    closure, which must therefore depend on the time alone.
 
     ``on_chunk``, if given, is called with a memoryview of the samples just
     moved into the record's columns, each a packed scenario_io.SAMPLE row:
@@ -138,7 +138,7 @@ def simulate(
     law = scenario.pursuer_law
     up_fn = scalar_pursuer_control(law, nu)
     ue_fn = scalar_evader_control(scenario.evader_program)
-    run = rk4_loop(type(law))
+    code = law_code(type(law))
 
     px = scenario.pursuer_init.position.x
     py = scenario.pursuer_init.position.y
@@ -177,8 +177,7 @@ def simulate(
     k = 0
     rows = None  # the worker's rows, until its stream ends
     if stride > 1 and math.ceil(t_max / h) >= _SPLIT_AFTER and scenario_io._can_fork():
-        evade, pursue, row = rk4_split(type(law))
-        rows = _evader_rows(evade, row, ex, ey, eth, h, nu, ue_fn)
+        rows = _evader_rows(code.evade, code.row, ex, ey, eth, h, nu, ue_fn)
     try:
         while True:
             try:
@@ -188,12 +187,12 @@ def simulate(
                         t, px, py, pth, ex, ey, eth, h, nu, up_fn, ue_fn, ue0, up0
                     )
                     if stride > 1:
-                        state = None if rows is None else pursue(law, rows, stride - 1,
-                                                                 px, py, pth, h, nu)
+                        state = None if rows is None else code.pursue(law, rows, stride - 1,
+                                                                      px, py, pth, h, nu)
                         if state is None:
                             rows = None  # no stream, or it has ended: run in process
-                            state = run(law, k - stride + 1, stride - 1, px, py, pth, ex, ey, eth,
-                                        h, nu, ue_fn)
+                            state = code.loop(law, k - stride + 1, stride - 1,
+                                              px, py, pth, ex, ey, eth, h, nu, ue_fn)
                         px, py, pth, ex, ey, eth = state
                 t = k * h
                 cp = cos(pth)

@@ -303,6 +303,51 @@ def test_gamma_converges_to_the_boundary_layer_at_rate_one_over_the_gain():
     )
 
 
+def test_the_certified_band_carries_the_range_down_to_r0_by_its_deadline():
+    # The certificate puts gamma in the band gamma <= -1 + eps by T, and the
+    # band is forward invariant while |r| >= r0. With d|r|/dt = gamma |rdot|
+    # and |rdot| >= 1 - nu, |r| then falls at least at (1-eps)(1-nu), so it
+    # reaches r0 by T_r0 = T + 2(r_init - r0)/((1-eps)(1-nu)), and by the
+    # a-posteriori t1 + (|r(t1)| - r0)/((1-eps)(1-nu)). This corollary is
+    # derived in the ROADMAP (item 17), not in the paper. Each shipped
+    # geometry but random_weave (some 2 s) flies MCPG(mu_cert) at the capped
+    # step, stride 20, capture radius min(R, r0), to t_max = T_r0.
+    t0 = time.perf_counter()
+    found = {}
+    ok = True
+    for name, config in _shipped():
+        if name == "random_weave":
+            continue
+        cert = _designed(config)
+        law = MCPG(cert.mu)
+        radius = min(config.capture_radius, cert.r0)
+        rate = (1.0 - cert.epsilon) * (1.0 - config.nu)
+        deadline = cert.T + 2.0 * (cert.r_init - cert.r0) / rate
+        step = min(config.step_size, stability_step_cap(law, config.nu, radius))
+        record = simulate(dataclasses.replace(
+            config, pursuer_law=law, step_size=step, sample_stride=20,
+            capture_radius=radius, t_max=deadline))
+        band = -1.0 + cert.epsilon
+        i1 = next(i for i, g in enumerate(record.gamma) if g <= band)
+        t1 = record.t[i1]
+        stays = all(g <= band for g, r in zip(record.gamma[i1:], record.r_norm[i1:])
+                    if r >= cert.r0)
+        bound = t1 + (record.r_norm[i1] - cert.r0) / rate
+        reached = next((t for t, r in zip(record.t, record.r_norm) if r <= cert.r0), math.inf)
+        ok = ok and t1 <= cert.T and stays and reached <= min(deadline, bound)
+        found[name] = (t1, cert.T, stays, reached, bound, deadline)
+    wall = time.perf_counter() - t0
+    _report(
+        "range-deadline",
+        ok,
+        "t1 <= T, in band while |r| >= r0, |r| <= r0 by both bounds: " + "; ".join(
+            f"{name} t1 {t1:.4f} <= T {T:.3f}, band {stays}, r0 at {reached:.3f} "
+            f"<= {bound:.3f} and {deadline:.2f}"
+            for name, (t1, T, stays, reached, bound, deadline) in found.items())
+        + f"; wall {wall:.2f}s",
+    )
+
+
 def test_a_rigid_motion_of_the_start_leaves_every_sample_unchanged():
     # The laws and metrics read only relative quantities and the programs only
     # the time, so rotating both initial states (positions and headings) by

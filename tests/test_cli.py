@@ -212,6 +212,18 @@ def test_unknown_set_key_is_a_usage_error(scenario_file, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_a_repeated_set_key_is_a_usage_error_and_writes_nothing(scenario_file, tmp_path, capsys):
+    # The scenario grammar rejects a duplicate key; --set must not let the last one win.
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", scenario_file, "--out", str(out),
+                 "--set", "t_max=1", "--set", " t_max =2"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mcpursuit: --set: duplicate key 't_max'\n"
+    assert not out.exists()
+
+
 def test_set_without_equals_is_a_usage_error(scenario_file, tmp_path):
     code = main(
         ["run", "--scenario", scenario_file, "--out", str(tmp_path / "o"), "--set", "nu"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import Linear, Ramp
 from mcpursuit import dynamics
-from mcpursuit.dynamics import ParticleState, law_control, rk4_loop, rk4_split, rk4_step_scalars
+from mcpursuit.dynamics import ParticleState, law_code, rk4_step_scalars
 from mcpursuit.errors import ZeroBaseline
 from mcpursuit.geometry import PlanarVector
 from mcpursuit.guidance import (
@@ -235,7 +235,7 @@ def _plain_steps(law, program, k0, n, state, h, nu):
        st.integers(0, 10**6), st.integers(0, 25),
        st.floats(min_value=1e-4, max_value=0.2), st.floats(min_value=0.0, max_value=0.95))
 def test_fused_loop_is_bitwise_the_plain_steps(law, program, state, k0, n, h, nu):
-    fused = rk4_loop(type(law))
+    fused = law_code(type(law)).loop
     got = _outcome(lambda: fused(law, k0, n, *state, h, nu, scalar_evader_control(program)))
     assert got == _outcome(lambda: _plain_steps(law, program, k0, n, state, h, nu))
 
@@ -247,8 +247,9 @@ def test_fused_loop_is_bitwise_the_plain_steps(law, program, state, k0, n, h, nu
        st.floats(min_value=1e-4, max_value=0.2), st.floats(min_value=0.0, max_value=0.95))
 def test_the_split_halves_are_bitwise_the_fused_loop(law, program, state, k0, n, h, nu):
     evader = scalar_evader_control(program)
-    fused = _outcome(lambda: rk4_loop(type(law))(law, k0, n, *state, h, nu, evader))
-    evade, pursue, row = rk4_split(type(law))
+    code = law_code(type(law))
+    fused = _outcome(lambda: code.loop(law, k0, n, *state, h, nu, evader))
+    evade, pursue, row = code.evade, code.pursue, code.row
     rows = []
     moved = _outcome(lambda: evade(k0, n, *state[3:], h, nu, evader, rows.append))
     if isinstance(moved, list):
@@ -298,8 +299,8 @@ def test_the_evader_half_runs_before_the_pursuer_half():
     # The pursuer starts on the evader, so the law raises at stage 1; the
     # evader program raises at stage 2, in the half that runs first.
     with pytest.raises(ZeroDivisionError):
-        rk4_loop(MCPG)(MCPG(1.0), 0, 1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1, 0.5,
-                       _evader_raising_after_start)
+        law_code(MCPG).loop(MCPG(1.0), 0, 1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1, 0.5,
+                            _evader_raising_after_start)
     with pytest.raises(ZeroDivisionError):
         rk4_step_scalars(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.1, 0.5,
                          scalar_pursuer_control(MCPG(1.0), 0.5), _evader_raising_after_start)
@@ -310,7 +311,7 @@ def test_a_zero_baseline_inside_the_loop_raises_through_it():
     state = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     for law in _LAWS:
         with pytest.raises(ZeroBaseline):
-            rk4_loop(type(law))(law, 0, 8, *state, 0.25, 0.0, scalar_evader_control(Zero()))
+            law_code(type(law)).loop(law, 0, 8, *state, 0.25, 0.0, scalar_evader_control(Zero()))
 
 
 def test_importing_the_cli_compiles_no_law_code():
@@ -337,9 +338,8 @@ def _renamed_mcpg(name):
 def test_a_law_field_may_not_take_a_name_of_the_generated_step(name):
     # A field named h would be bound over the step size inside the loop.
     cls = _renamed_mcpg(name)
-    for compile_law in (rk4_loop, law_control, rk4_split):
-        with pytest.raises(ValueError, match=f"field '{name}'"):
-            compile_law(cls)
+    with pytest.raises(ValueError, match=f"field '{name}'"):
+        law_code(cls)
 
 
 def test_a_law_compiles_once_into_one_source():
@@ -352,8 +352,6 @@ def test_a_law_compiles_once_into_one_source():
 
     cls = _renamed_mcpg("gain")  # a fresh class, so nothing of it is cached yet
     with mock.patch.object(dynamics, "_compile", count):
-        loop = rk4_loop(cls)
-        make = law_control(cls)
-        evade, pursue, _ = rk4_split(cls)
+        make, loop, evade, pursue, _ = law_code(cls)
     assert compiled == [f"<rk4 {cls.variant}>"]
     assert {f.__code__.co_filename for f in (make, loop, evade, pursue)} == {compiled[0]}

@@ -188,24 +188,24 @@ def test_an_evader_that_goes_non_finite_ends_the_stream_short(t_off, after, last
     # finite.
     config = _scenario(evader_program=Switch(0.0, t_off=t_off, after=after), sample_stride=10)
     calls = []
-    real = simulation.rk4_loop
+    real = simulation.law_code
 
-    def loop(law_class):
-        run = real(law_class)
+    def code(law_class):
+        compiled = real(law_class)
 
         def recorded(law, k, n, *args):
             calls.append(k)
-            return run(law, k, n, *args)
+            return compiled.loop(law, k, n, *args)
 
-        return recorded
+        return compiled._replace(loop=recorded)
 
-    with _split(20) as forks, mock.patch.object(simulation, "rk4_loop", loop):
+    with _split(20) as forks, mock.patch.object(simulation, "law_code", code):
         record = simulation.simulate(config)
     assert len(forks) == 1
     assert record.termination == TERMINATION_NON_FINITE
     assert record.t[-1] == pytest.approx(last)
     # The run streams from its first stretch, so only the stretch in which
-    # the stream ended short runs through rk4_loop.
+    # the stream ended short runs through the law code's loop.
     assert calls == ([121] if math.isinf(after) else [])
     _assert_same_record(record, _in_process(config))
     _assert_no_children()

@@ -4,6 +4,10 @@ The commands cover all four subcommands on the shipped scenarios. Each file's
 sha256 is compared with a recorded digest, so any change to the bytes of a
 result fails here. A change that alters results on purpose records the new
 digests in DIGESTS and says which files changed.
+
+The digests depend on the platform's libm ``cos`` and ``sin``, whose last
+bit may differ between C libraries, so they are pinned for one platform:
+CI runs ubuntu only.
 """
 
 import hashlib
