@@ -131,12 +131,13 @@ def _cmd_run(args, config: ScenarioConfig) -> List[dict]:
 
 
 def _post_transient_peak(gamma: List[float]) -> Optional[float]:
-    """Largest gamma + 1 once the run has settled.
+    """sweep.csv's peak_gamma_excess: the largest gamma + 1 from the settle sample on.
 
-    The transient is taken as over when gamma first closes 95 percent of the
-    gap between its starting value and the deepest value it ever reaches, so
-    the measurement scales with the run instead of a fixed threshold. A run
-    that never gets below the sweep threshold reports None; an empty record
+    The settle sample is the first to close 95 percent of the gap between
+    gamma(0) and the run's lowest gamma. gamma is still falling there in most
+    runs, so the result is that sample's own, near SWEEP_SETTLE_FRACTION *
+    (gamma(0) + 1) whatever the gain: a settle level (ROADMAP item 19). A run
+    that never gets below SWEEP_TRANSIENT_GAMMA reports None; an empty record
     has an infinite floor, so it is such a run. Otherwise settle is at least
     the floor, so the loop returns by the floor's index at the latest.
     """
@@ -274,54 +275,34 @@ def _cmd_compare(args, config: ScenarioConfig) -> List[dict]:
     return summaries
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", required=True, help="path to a scenario file")
-    sub.add_argument("--out", default=".", help="output directory (default: current)")
-    sub.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a scenario key; repeatable",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcpursuit",
         description="Planar pursuit simulation with motion-camouflage feedback laws",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_run = subs.add_parser("run", help="simulate one scenario")
-    _add_common(p_run)
-    p_run.add_argument("--figure", action="store_true", help="also write figure.svg")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = subs.add_parser("sweep", help="rerun a scenario across gain multipliers")
-    _add_common(p_sweep)
-    p_sweep.add_argument(
-        "--gains", required=True, help="comma-separated gain multipliers, e.g. 1,3,9"
-    )
-    p_sweep.add_argument("--figure", action="store_true", help="also write per-run figures")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_cert = subs.add_parser("certify", help="design a certified gain for a scenario")
-    _add_common(p_cert)
-    p_cert.add_argument("--r0", type=float, help="standoff range (default: r_init / 100)")
-    p_cert.add_argument(
-        "--verify",
-        action="store_true",
-        help="rerun the scenario at the certified gain and check the envelope",
-    )
-    p_cert.add_argument("--figure", action="store_true",
-                        help="write figure.svg of the --verify run (without --verify: exit 2)")
-    p_cert.set_defaults(func=_cmd_certify)
-
-    p_cmp = subs.add_parser("compare", help="run the guidance law family side by side")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--r0", type=float, help="standoff used for the ppng gain")
-    p_cmp.add_argument("--figure", action="store_true", help="also write per-law figures")
-    p_cmp.set_defaults(func=_cmd_compare)
+    for name, func, help_text in (
+        ("run", _cmd_run, "simulate one scenario"),
+        ("sweep", _cmd_sweep, "rerun a scenario across gain multipliers"),
+        ("certify", _cmd_certify, "design a certified gain for a scenario"),
+        ("compare", _cmd_compare, "run the guidance law family side by side"),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        sub.add_argument("--scenario", required=True, help="path to a scenario file")
+        sub.add_argument("--out", default=".", help="output directory (default: current)")
+        sub.add_argument("--set", action="append", metavar="KEY=VALUE",
+                         help="override a scenario key; repeatable")
+        sub.add_argument("--figure", action="store_true", help="also write figure.svg for each "
+                         "run; certify's draws the --verify run, so it needs --verify")
+        if name in ("certify", "compare"):
+            sub.add_argument("--r0", type=float, help="standoff range (default: r_init / 100)")
+        if name == "sweep":
+            sub.add_argument("--gains", required=True,
+                             help="comma-separated gain multipliers, e.g. 1,3,9")
+        if name == "certify":
+            sub.add_argument("--verify", action="store_true",
+                             help="rerun the scenario at the certified gain and check the envelope")
     return parser
 
 

@@ -557,8 +557,10 @@ def trajectory_csv_stream(path: str):
             fds.append(write)
             pid = _fork({data, counts, out, 2}, lambda: _write_chunks(counts, data, out))
             os.close(counts)
-            if pid is not None:  # else the data file and pipe lie unused until the block ends
-                os.close(fds.pop(0))  # the file, which the child writes
+            kept = fds[1:] if pid is not None else fds[:1]  # what send writes
+            for fd in set(fds).difference(kept):
+                os.close(fd)
+            fds[:] = kept
         yield send
         close()  # the child reads to the end of the counts and exits
         if pid is not None:

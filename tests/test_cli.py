@@ -1,5 +1,6 @@
 """Command line behavior, exercised in process through main(), and the two ways it starts."""
 
+import argparse
 import importlib
 import inspect
 import io
@@ -234,6 +235,58 @@ def test_set_without_equals_is_a_usage_error(scenario_file, tmp_path):
 def test_no_subcommand_is_a_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
+
+
+#: Each subcommand's options by their strings: required, default, type and action class.
+_COMMON = {
+    ("-h", "--help"): (False, argparse.SUPPRESS, None, "_HelpAction"),
+    ("--scenario",): (True, None, None, "_StoreAction"),
+    ("--out",): (False, ".", None, "_StoreAction"),
+    ("--set",): (False, None, None, "_AppendAction"),
+    ("--figure",): (False, False, None, "_StoreTrueAction"),
+}
+PARSER_SURFACE = {
+    "run": _COMMON,
+    "sweep": {**_COMMON, ("--gains",): (True, None, None, "_StoreAction")},
+    "certify": {
+        **_COMMON,
+        ("--r0",): (False, None, float, "_StoreAction"),
+        ("--verify",): (False, False, None, "_StoreTrueAction"),
+    },
+    "compare": {**_COMMON, ("--r0",): (False, None, float, "_StoreAction")},
+}
+
+
+def test_the_parser_surface_is_pinned():
+    (subs,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subs.choices) == list(PARSER_SURFACE)
+    for name, sub in subs.choices.items():
+        options = {tuple(a.option_strings): (a.required, a.default, a.type, type(a).__name__)
+                   for a in sub._actions}
+        assert options == PARSER_SURFACE[name], name
+        assert sub.get_default("func") is getattr(cli, f"_cmd_{name}")
+
+
+@pytest.mark.parametrize("command", list(PARSER_SURFACE))
+def test_every_subcommand_prints_its_help(command, capsys):
+    assert main([command, "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: mcpursuit {command} ")
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("run", "--r0"), ("sweep", "--r0"),
+    ("run", "--gains"), ("certify", "--gains"), ("compare", "--gains"),
+    ("run", "--verify"), ("sweep", "--verify"), ("compare", "--verify"),
+])
+def test_a_flag_off_its_subcommand_is_a_usage_error_and_writes_nothing(command, flag,
+                                                                        scenario_file, tmp_path,
+                                                                        capsys):
+    out = tmp_path / "o"
+    argv = [command, "--scenario", scenario_file, "--out", str(out), flag]
+    argv += ([] if flag == "--verify" else ["1"]) + (["--gains", "1"] if command == "sweep" else [])
+    assert main(argv) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_writes_one_subdir_per_multiplier(scenario_file, tmp_path):

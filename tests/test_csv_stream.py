@@ -9,6 +9,7 @@ import threading
 import time
 import warnings
 from array import array
+from contextlib import suppress
 
 import pytest
 
@@ -156,6 +157,25 @@ def test_a_writer_that_cannot_start_falls_back_in_process(tmp_path, monkeypatch,
     assert _read(tmp_path / "out" / "trajectory.csv") == want
     assert sorted(os.listdir(tmp_path / "out")) == ["summary.json", "trajectory.csv"]
     capsys.readouterr()
+
+
+def test_a_failed_fork_holds_only_the_csv_open(tmp_path, monkeypatch):
+    # Without a child the data file and the count pipe have no reader, so
+    # the block must not hold them while the run integrates.
+    if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
+        pytest.skip("needs /proc/<pid>/fd")
+    monkeypatch.setattr(scenario_io, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scenario_io, "_fork", lambda keep, body: None)
+    columns = [[float(k + j) for k in range(RECORD_CHUNK + 1)] for j in range(len(CSV_COLUMNS))]
+    sink = io.StringIO()
+    write_trajectory_csv(_record(columns), sink)
+    path = tmp_path / "trajectory.csv"
+    before = _fd_targets()
+    with trajectory_csv_stream(str(path)) as send:
+        send(_packed(columns))
+        assert _fd_targets() == sorted(before + [str(path)])
+    assert _fd_targets() == before
+    assert _read(path) == sink.getvalue().encode("ascii")
 
 
 def _fails_cleanly(run, capture, spawned):
@@ -335,6 +355,16 @@ def test_the_writer_child_keeps_only_its_three_descriptors_and_fd_2(tmp_path, sp
 
 def _open_fds():
     return sorted(os.listdir(f"/proc/{os.getpid()}/fd"))
+
+
+def _fd_targets():
+    """What each open descriptor names, sorted; the listing's own descriptor is closed by then."""
+    fd_dir = f"/proc/{os.getpid()}/fd"
+    targets = []
+    for fd in os.listdir(fd_dir):
+        with suppress(FileNotFoundError):
+            targets.append(os.readlink(os.path.join(fd_dir, fd)))
+    return sorted(targets)
 
 
 def test_a_run_that_forks_the_writer_then_the_worker_leaves_no_child_and_no_open_file(
